@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -189,17 +188,16 @@ def _cmd_kostant(args) -> int:
                                   f"{args.type}_{args.rank}")
         allowed = subset
     count = count_partitions(weight, allowed)
-    payload = {"count": str(count)}
-    if args.enumerate:
-        partitions = enumerate_partitions(weight, allowed)
-        payload["partitions"] = [_partition_json(p) for p in partitions]
+    partitions = enumerate_partitions(weight, allowed) if args.enumerate else []
     if args.json:
+        payload = {"count": str(count)}
+        if args.enumerate:
+            payload["partitions"] = [_partition_json(p) for p in partitions]
         _emit_json(payload)
         return 0
     print(count)
-    if args.enumerate:
-        for p in enumerate_partitions(weight, allowed):
-            print(_partition_str(p))
+    for p in partitions:
+        print(_partition_str(p))
     return 0
 
 
@@ -591,18 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads_env() -> None:
-    value = os.environ.get("KJ_THREADS")
-    if value is None:
-        return
-    try:
-        threads = int(value)
-    except ValueError:
-        raise DomainError(f"KJ_THREADS must be a positive integer, got {value!r}") from None
-    if threads < 1:
-        raise DomainError(f"KJ_THREADS must be a positive integer, got {value!r}")
-
-
 def dispatch(argv) -> int:
     """Run one command; returns the process exit status."""
     parser = build_parser()
@@ -611,7 +597,6 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _check_threads_env()
         return args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,7 +148,14 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     """Number of length-n juggling sequences from a to b.
 
     Forward dynamic programming over per-time state layers with exact integer
-    counts.  Ball conservation makes mismatched totals count zero.
+    counts.  Each time step is factored across the whole layer rather than
+    expanded state by state: the states are merged into (balls left in hand,
+    dropped state) keys, then the allowed heights are visited one at a time,
+    each key sending 0..left of its remaining balls to that height, and the
+    keys are merged again after every height.  Every multiset of throw
+    heights is produced exactly once, so the sums are exact and independent
+    of dictionary order.  Ball conservation makes mismatched totals count
+    zero.
     """
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
@@ -163,15 +170,46 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     if _dead(a, 0, deadline):
         return 0
     bound = _landing_bound(a, b, n)
+
+    def settle(nxt, state, time, ways):
+        state = normalize_state(state)
+        if capacity is not None and any(x > capacity for x in state):
+            return
+        if not _dead(state, time, deadline):
+            nxt[state] = nxt.get(state, 0) + ways
+
     layer = {a: 1}
     for time in range(1, n + 1):
         nxt: dict = {}
-        for state in sorted(layer):
-            ways = layer[state]
-            for new, _ in successors(state, time, capacity, allowed, bound):
-                if _dead(new, time, deadline):
-                    continue
-                nxt[new] = nxt.get(new, 0) + ways
+        pending: dict = {}
+        for state, ways in layer.items():
+            hand = state[0] if state else 0
+            if hand == 0:
+                settle(nxt, state[1:], time, ways)
+            elif hand > 0:
+                key = (hand, state[1:])
+                pending[key] = pending.get(key, 0) + ways
+        for j in range(1, bound - time + 1):
+            if not pending:
+                break
+            if not allowed.allows(time, j):
+                continue
+            # A positive entry at height j is final after this height; past
+            # the deadline it could never land, so only magic may stay there.
+            top = capacity if time + j <= deadline else 0
+            merged: dict = {}
+            for (left, s), ways in pending.items():
+                if len(s) < j:
+                    s = s + (0,) * (j - len(s))
+                head, base, tail = s[:j - 1], s[j - 1], s[j:]
+                most = left if top is None else min(left, top - base)
+                for k in range(most + 1):
+                    key = (left - k, head + (base + k,) + tail)
+                    merged[key] = merged.get(key, 0) + ways
+            pending = merged
+        for (left, s), ways in pending.items():
+            if not left:
+                settle(nxt, s, time, ways)
         layer = nxt
         if not layer:
             break

@@ -1,6 +1,8 @@
 import json
 
+from kjuggle import cli
 from kjuggle.cli import dispatch
+from kjuggle.kostant import enumerate_partitions
 
 
 def run(capsys, *argv):
@@ -35,6 +37,23 @@ def test_kostant_json_roundtrips_byte_identical(capsys):
     assert payload["count"] == "5"
     assert len(payload["partitions"]) == 5
     assert payload["partitions"][0] == [["1-2", 1], ["2-3", 1], ["2-4", 1]]
+
+
+def test_kostant_enumerate_text_lists_each_partition_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_partitions(*args)
+
+    monkeypatch.setattr(cli, "enumerate_partitions", counted)
+    code, out, _ = run(capsys, "kostant", "--type", "A", "--rank", "3",
+                       "--weight-alpha", "1,2,1", "--enumerate")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "5"
+    assert len(lines) == int(lines[0]) + 1
+    assert len(set(lines[1:])) == 5
+    assert len(calls) == 1
 
 
 def test_js_count_and_enum(capsys):
@@ -200,15 +219,6 @@ def test_domain_errors_exit_one(capsys):
     code, _, err = run(capsys, "kostant", "--type", "A", "--rank", "2",
                        "--weight-eps", "1,0,-1", "--roots", "/nonexistent/file")
     assert code == 1 and "roots file" in err
-
-
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("KJ_THREADS", "2")
-    code, out, _ = run(capsys, "catalan", "--r", "3")
-    assert code == 0 and out.strip() == "1"
-    monkeypatch.setenv("KJ_THREADS", "zero")
-    code, _, err = run(capsys, "catalan", "--r", "3")
-    assert code == 1 and "KJ_THREADS" in err
 
 
 def test_selftest_json(capsys):

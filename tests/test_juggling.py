@@ -1,10 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kjuggle.errors import DomainError
 from kjuggle.juggling import (ALL_THROWS, Throw, ThrowSet, count_sequences,
                               enumerate_labeled_sequences, enumerate_sequences,
                               label_component, labeled_count, net_change_vector,
                               normalize_state, successors)
+from kjuggle.kostant import count_partitions
+from kjuggle.roots import positive_roots
 
 
 def test_normalize_strips_trailing_zeros_only():
@@ -83,15 +89,97 @@ class TestCounts:
                     <= count_sequences((1, 1), (1, 1), n))
 
 
+# Magic balls (at height one too), totals that do and do not match, and
+# initial states taller than length + terminal height for small n.
+CROSS_CHECK_STATES = [(), (1,), (2,), (3,), (1, 1), (0, 1), (2, 1), (1, 0, 1),
+                      (0, 0, 2), (2, 0, -1), (-1, 1), (1, -1, 1), (3, 0, -1),
+                      (2, 1, 0, -1), (2, 0, 0, -1)]
+
+
+def _throw_sets():
+    rng = random.Random(2001)
+    explicit = [ThrowSet.from_throws({(rng.randint(1, 3), rng.randint(1, 5))
+                                      for _ in range(8)}) for _ in range(3)]
+    return [ALL_THROWS, ThrowSet.from_heights((1,)), ThrowSet.from_heights((2, 3)),
+            ThrowSet.from_heights((1, 3, 4))] + explicit
+
+
 def test_enumeration_matches_counting():
-    states = [(), (1,), (2,), (1, 1), (0, 1), (2, 1)]
-    for a in states:
-        for b in states:
-            for n in (1, 2, 3):
-                for m in (None, 1, 2):
+    for a in CROSS_CHECK_STATES:
+        for b in CROSS_CHECK_STATES:
+            for n in (0, 1, 2, 3):
+                for m in (None, 1, 2, 3):
                     seqs = enumerate_sequences(a, b, n, m)
-                    assert len(seqs) == count_sequences(a, b, n, m)
+                    assert len(seqs) == count_sequences(a, b, n, m), (a, b, n, m)
                     assert len(set(seqs)) == len(seqs)
+
+
+class TestCountAgainstEnumeration:
+    """The layer-factored count against the per-state successor walk."""
+
+    @pytest.mark.parametrize("capacity", [None, 2])
+    def test_throw_sets(self, capacity):
+        for allowed in _throw_sets():
+            for a in CROSS_CHECK_STATES:
+                for b in CROSS_CHECK_STATES:
+                    for n in (0, 2, 3):
+                        assert (count_sequences(a, b, n, capacity, allowed)
+                                == len(enumerate_sequences(a, b, n, capacity, allowed)))
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(3219)
+        throw_sets = _throw_sets()
+        nonzero = 0
+        for _ in range(300):
+            a = tuple(rng.choice((0, 0, 1, 1, 2, 3, -1)) for _ in range(rng.randint(0, 5)))
+            b = tuple(rng.choice((0, 1, 1, 2, -1)) for _ in range(rng.randint(0, 3)))
+            if sum(a) > sum(b):
+                b += (sum(a) - sum(b),)
+            n = rng.randint(0, 4)
+            capacity = rng.choice((None, 1, 2, 3))
+            allowed = rng.choice(throw_sets)
+            count = count_sequences(a, b, n, capacity, allowed)
+            assert count == len(enumerate_sequences(a, b, n, capacity, allowed)), (a, b, n)
+            nonzero += count > 0
+        assert nonzero >= 30
+
+    def test_magic_at_height_one_dies(self):
+        assert count_sequences((-1, 1), (), 1) == 0
+        assert count_sequences((-1, 1), (), 2) == 0
+        # only the throw to height 1 cancels the magic ball before it reaches
+        # the hand; every other throw leads to a dead state
+        assert count_sequences((1, -1, 1), (1,), 2) == len(
+            enumerate_sequences((1, -1, 1), (1,), 2)) == 1
+
+    def test_initial_taller_than_window(self):
+        a = (2, 0, 0, -1)
+        assert len(a) > 2 + len((1,))
+        assert count_sequences(a, (1,), 2) == len(enumerate_sequences(a, (1,), 2)) == 4
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(a=st.lists(st.integers(-1, 2), max_size=4),
+       b=st.lists(st.integers(-1, 2), max_size=3),
+       n=st.integers(0, 4),
+       capacity=st.one_of(st.none(), st.integers(1, 3)))
+def test_count_equals_enumeration_property(a, b, n, capacity):
+    if sum(a) > sum(b):
+        b = b + [sum(a) - sum(b)]
+    assert count_sequences(a, b, n, capacity) == len(enumerate_sequences(a, b, n, capacity))
+
+
+class TestStaircasesAgainstKostant:
+    @pytest.mark.parametrize("head,expected", [(6, 3841663050), (7, None), (5, None)])
+    def test_a6_staircase_and_head_variants(self, head, expected):
+        a = (head, 5, 4, 3, 2, 1)
+        weight = a + (-sum(a),)
+        count = count_sequences(a, (sum(a),), 6)
+        assert count == count_partitions(weight, positive_roots("A", 6))
+        if expected is not None:
+            assert count == expected
+
+    def test_a7_staircase(self):
+        assert count_sequences((7, 6, 5, 4, 3, 2, 1), (28,), 7) == 78608134640816
 
 
 def test_enumerated_sequences_are_valid():
