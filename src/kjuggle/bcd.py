@@ -10,13 +10,12 @@ neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .errors import DomainError
 from .juggling import count_sequences, normalize_state
-from .kostant import (Partition, count_partitions, make_partition,
-                      partition_parts, partition_weight)
+from .kostant import (Partition, count_partitions, count_weighted,
+                      make_partition, partition_parts, partition_weight)
 from .roots import (MINUS, PLUS, SINGLE, Root, edouble, eminus, eplus,
                     esingle, check_type_rank, highest_root, positive_roots,
                     root_to_weight)
@@ -158,11 +157,12 @@ def _prefix_sums(w):
     return out
 
 
-def schmidt_bincer_count(lie_type: str, rank: int, mu) -> int:
-    """Reduce a B/C/D partition count to a sum of type-A counts.
+def _reduction(lie_type: str, rank: int, mu, walked) -> int:
+    """Sum, over multiplicity configurations of the roots selected by
+    `walked`, of the number of e_i - e_j partitions of what remains.
 
-    Sums, over multiplicity configurations of the roots outside the
-    e_i - e_j family, the number of e_i - e_j partitions of what remains.
+    The leaves go into one {residual: configurations} mapping, counted in a
+    single count_weighted call (exact: the count is linear in the mapping).
     Branches die as soon as a prefix sum of the residual goes negative.
     """
     if lie_type not in ("B", "C", "D"):
@@ -173,30 +173,33 @@ def schmidt_bincer_count(lie_type: str, rank: int, mu) -> int:
         raise DomainError(f"weight has length {len(mu)}, ambient dimension is {rank}")
     all_roots = positive_roots(lie_type, rank)
     minus_roots = tuple(r for r in all_roots if r.kind == MINUS)
-    gammas = tuple(r for r in all_roots if r.kind != MINUS)
-    gamma_weights = [root_to_weight(g, rank) for g in gammas]
-
-    @lru_cache(maxsize=None)
-    def minus_count(w):
-        return count_partitions(w, minus_roots)
+    weights = [root_to_weight(r, rank) for r in all_roots if walked(r)]
+    leaves: dict = {}
 
     def rec(idx, w):
         pre = _prefix_sums(w)
         if min(pre) < 0:
-            return 0
-        if idx == len(gammas):
-            return minus_count(w) if pre[-1] == 0 else 0
-        gpre = _prefix_sums(gamma_weights[idx])
+            return
+        if idx == len(weights):
+            if pre[-1] == 0:
+                leaves[w] = leaves.get(w, 0) + 1
+            return
+        gpre = _prefix_sums(weights[idx])
         bound = min(p // g for p, g in zip(pre, gpre) if g > 0)
-        total = 0
         cur = w
         for mult in range(bound + 1):
-            total += rec(idx + 1, cur)
+            rec(idx + 1, cur)
             if mult < bound:
-                cur = tuple(a - b for a, b in zip(cur, gamma_weights[idx]))
-        return total
+                cur = tuple(a - b for a, b in zip(cur, weights[idx]))
 
-    return rec(0, mu)
+    rec(0, mu)
+    return count_weighted(leaves, minus_roots)
+
+
+def schmidt_bincer_count(lie_type: str, rank: int, mu) -> int:
+    """Reduce a B/C/D partition count to a sum of type-A counts: the walk
+    ranges over configurations of the roots outside the e_i - e_j family."""
+    return _reduction(lie_type, rank, mu, lambda r: r.kind != MINUS)
 
 
 def schmidt_bincer_literal(lie_type: str, rank: int, mu) -> int:
@@ -204,35 +207,7 @@ def schmidt_bincer_literal(lie_type: str, rank: int, mu) -> int:
     e_i - e_j roots themselves.  Configurations of those roots preserve the
     coordinate sum, so any weight with nonzero sum yields 0; on type-A weights
     it overcounts instead."""
-    if lie_type not in ("B", "C", "D"):
-        raise DomainError("the reduction applies to types B, C, D")
-    check_type_rank(lie_type, rank)
-    mu = tuple(mu)
-    all_roots = positive_roots(lie_type, rank)
-    minus_roots = tuple(r for r in all_roots if r.kind == MINUS)
-    weights = [root_to_weight(r, rank) for r in minus_roots]
-
-    @lru_cache(maxsize=None)
-    def minus_count(w):
-        return count_partitions(w, minus_roots)
-
-    def rec(idx, w):
-        pre = _prefix_sums(w)
-        if min(pre) < 0:
-            return 0
-        if idx == len(minus_roots):
-            return minus_count(w) if pre[-1] == 0 else 0
-        bpre = _prefix_sums(weights[idx])
-        bound = min(p // g for p, g in zip(pre, bpre) if g > 0)
-        total = 0
-        cur = w
-        for mult in range(bound + 1):
-            total += rec(idx + 1, cur)
-            if mult < bound:
-                cur = tuple(a - b for a, b in zip(cur, weights[idx]))
-        return total
-
-    return rec(0, mu)
+    return _reduction(lie_type, rank, mu, lambda r: r.kind == MINUS)
 
 
 def count_highest_root_bcd(lie_type: str, rank: int) -> dict:

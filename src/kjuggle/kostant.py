@@ -1,15 +1,19 @@
 """Partitions of a weight into positive roots: enumeration and counting.
 
 A partition is stored as a canonically sorted tuple of (root, multiplicity)
-pairs.  Counting walks the allowed roots in canonical order, bounding each
+pairs.  Both engines take the allowed roots in canonical order and bound each
 multiplicity by the coordinates the remaining roots can no longer raise, so
-multisets are produced exactly once.
+multisets are produced exactly once.  Enumeration recurses root by root;
+counting runs forward over a layer of {residual weight: ways}, one
+(kind, i) group of roots at a time, so equal residuals merge.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import DomainError
-from .roots import MINUS, PLUS, SINGLE, Root, root_to_weight
+from .roots import DOUBLE, MINUS, PLUS, SINGLE, Root, root_to_weight
 
 Partition = tuple  # tuple[tuple[Root, int], ...]
 
@@ -82,49 +86,68 @@ def _check_ambient(target, roots):
     return ambient
 
 
+def count_weighted(targets, allowed) -> int:
+    """Sum over a {weight: ways} mapping of ways times the number of
+    partitions of the weight into the allowed roots (linear in the mapping).
+
+    One forward layer DP, one (kind, i) group of roots at a time.  In a group,
+    weights are bucketed by the copies coordinate i can still pay for (level
+    0 skips or leaves the group); per root, the buckets are swept downward,
+    each receiving the one above minus one copy, which sends 0..max copies
+    in one step per distinct residual.
+    """
+    roots = canonical_roots(allowed)
+    layer: dict = {}
+    for target, ways in targets.items():
+        target = tuple(target)
+        _check_ambient(target, roots)
+        layer[target] = layer.get(target, 0) + ways
+    pure = all(r.kind == MINUS for r in roots)
+    for (kind, i), group in groupby(roots, key=lambda r: (r.kind, r.i)):
+        k = i - 1
+        need = 2 if kind == DOUBLE else 1
+        out: dict = {}
+        levels: dict = {}
+        # Prunes: past the e_i - e_j roots no root raises a coordinate; from
+        # an e_i - e_j group on, nothing raises coordinate i, and a pure
+        # e_i - e_j set never touches the coordinates below i again.
+        for w, ways in layer.items():
+            if kind != MINUS:
+                if min(w) < 0:
+                    continue
+            elif w[k] < 0 or (pure and any(w[:k])):
+                continue
+            levels.setdefault(w[k] // need, {})[w] = ways
+        for root in group:
+            nxt: dict = {}
+            above: dict = {}
+            for c in range(max(levels, default=0), -1, -1):
+                cur = levels.get(c, {})
+                for w, ways in above.items():
+                    # Coordinates stay nonnegative in a mixed group, so only
+                    # e_i + e_j can run out of copies before its level does.
+                    if kind != PLUS or w[root.j - 1]:
+                        r = _subtract(w, root, 1)
+                        cur[r] = cur.get(r, 0) + ways
+                if c:
+                    nxt[c] = cur
+                else:
+                    for w, ways in cur.items():
+                        out[w] = out.get(w, 0) + ways
+                above = cur
+            levels = nxt
+        for cur in levels.values():  # keys disjoint from out's: w[k] >= need
+            out.update(cur)
+        layer = out
+    return sum(ways for w, ways in layer.items() if not any(w))
+
+
 def count_partitions(target, allowed) -> int:
     """Number of multisets of allowed roots summing to the target weight.
 
     The empty weight has exactly one partition (the empty one).
     """
-    target = tuple(target)
-    roots = canonical_roots(allowed)
-    _check_ambient(target, roots)
-    n = len(roots)
-    # Position of the first non-MINUS root; from there on every coordinate
-    # of the residual must be nonnegative.
-    first_mixed = next((k for k, r in enumerate(roots) if r.kind != MINUS), n)
-    memo: dict = {}
-
-    def rec(idx, w):
-        if not any(w):
-            return 1
-        if idx == n:
-            return 0
-        key = (idx, w)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        root = roots[idx]
-        if idx >= first_mixed and min(w) < 0:
-            memo[key] = 0
-            return 0
-        if root.kind == MINUS:
-            # Pure e_i - e_j root sets never touch coordinates below i again.
-            if first_mixed == n and any(w[k] for k in range(root.i - 1)):
-                memo[key] = 0
-                return 0
-            if w[root.i - 1] < 0:
-                memo[key] = 0
-                return 0
-        bound = _max_mult(root, w)
-        total = 0
-        for mult in range(bound + 1):
-            total += rec(idx + 1, _subtract(w, root, mult) if mult else w)
-        memo[key] = total
-        return total
-
-    return rec(0, target)
+    return count_weighted({tuple(target): 1}, allowed)
 
 
 def enumerate_partitions(target, allowed) -> list[Partition]:

@@ -81,8 +81,10 @@ _ROOT_RE = re.compile(r"^(\d+)([+-])(\d+)$")
 def parse_root(text: str) -> Root:
     """Parse a root from its compact form: i-j, i+j, i, or 2i.
 
-    The digits-only forms collide once indices reach 21; callers stay far
-    below that.
+    The digits-only forms collide: a single index of two or more digits that
+    starts with 2 reads as a doubled root, so "21" is 2e_1 (not e_21) and "20"
+    is rejected.  B/C ranks of 20 and above are cheap, so this bites (ROADMAP
+    item 5).
     """
     text = text.strip()
     m = _ROOT_RE.match(text)

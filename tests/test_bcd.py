@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kjuggle.bcd import (BcdState, b_to_a_inverse, b_to_a_map,
@@ -9,7 +11,7 @@ from kjuggle.errors import DomainError
 from kjuggle.kostant import (count_partitions, enumerate_partitions,
                              make_partition, partition_weight)
 from kjuggle.roots import (edouble, eminus, eplus, esingle, highest_root,
-                           positive_roots)
+                           positive_roots, root_to_weight, simple_root)
 
 
 class TestSuccessors:
@@ -77,6 +79,36 @@ def test_schmidt_bincer_matches_oracle_on_structured_weights():
     for lie_type, rank, mu in cases:
         assert (schmidt_bincer_count(lie_type, rank, mu)
                 == count_partitions(mu, positive_roots(lie_type, rank)))
+
+
+@pytest.mark.parametrize("lie_type,plus_last_simple,expected", [
+    ("B", False, 1178125), ("C", False, 1006250), ("D", False, 450000),
+    ("B", True, 1503750), ("C", True, 1284375), ("D", True, 595625),
+])
+def test_schmidt_bincer_rank12_values(lie_type, plus_last_simple, expected):
+    mu = highest_root(lie_type, 12)
+    if plus_last_simple:
+        mu = tuple(a + b for a, b in zip(mu, simple_root(lie_type, 12, 12)))
+    assert schmidt_bincer_count(lie_type, 12, mu) == expected
+    assert count_partitions(mu, positive_roots(lie_type, 12)) == expected
+
+
+def test_schmidt_bincer_matches_oracle_on_random_weights():
+    # root-cone weights and signed weights, ranks up to 6
+    rng = random.Random(1984)
+    for lie_type in "BCD":
+        for _ in range(25):
+            rank = rng.randint({"B": 2, "C": 3, "D": 4}[lie_type], 6)
+            roots = positive_roots(lie_type, rank)
+            if rng.random() < 0.25:
+                mu = [rng.randint(-2, 3) for _ in range(rank)]
+            else:
+                mu = [0] * rank
+                for _ in range(rng.randint(1, 5)):
+                    for k, x in enumerate(root_to_weight(rng.choice(roots), rank)):
+                        mu[k] += x
+            assert schmidt_bincer_count(lie_type, rank, mu) == count_partitions(mu, roots), \
+                (lie_type, rank, mu)
 
 
 def test_schmidt_bincer_zero_weight():

@@ -1,13 +1,17 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kjuggle.errors import DomainError
 from kjuggle.kostant import (canonical_roots, count_capacity_restricted,
-                             count_partitions, enumerate_partitions,
-                             make_partition, partition_weight, type_a_reachable)
-from kjuggle.roots import (eminus, eplus, esingle, highest_root,
-                           positive_roots, weight_from_simple)
+                             count_partitions, count_weighted,
+                             enumerate_partitions, make_partition,
+                             partition_weight, type_a_reachable)
+from kjuggle.roots import (ambient_dim, eminus, eplus, esingle, highest_root,
+                           positive_roots, root_to_weight, weight_from_simple)
 
 A3 = positive_roots("A", 3)
 
@@ -57,6 +61,69 @@ def test_count_matches_enumeration_everywhere_small():
             assert count_partitions(head, roots) == len(parts)
             for p in parts:
                 assert partition_weight(p, n) == tuple(head)
+
+
+def _random_instance(rng):
+    """A random root subset of a random type and a signed weight: uniform in
+    [-3, 3], or a sum of a few allowed roots so that most counts are nonzero."""
+    lie_type = rng.choice("ABCD")
+    rank = rng.randint({"A": 1, "B": 2, "C": 3, "D": 4}[lie_type], 4)
+    n = ambient_dim(lie_type, rank)
+    allowed = [r for r in positive_roots(lie_type, rank) if rng.random() < 0.7]
+    if allowed and rng.random() < 0.5:
+        mu = [0] * n
+        for _ in range(rng.randint(1, 4)):
+            for k, x in enumerate(root_to_weight(rng.choice(allowed), n)):
+                mu[k] += x
+        return tuple(mu), allowed
+    return tuple(rng.randint(-3, 3) for _ in range(n)), allowed
+
+
+def test_count_matches_enumeration_on_random_subsets():
+    # the forward layer count and the recursive enumeration are separate
+    # code paths; they must agree on restricted root sets of every type
+    rng = random.Random(20201)
+    nonzero = 0
+    for _ in range(400):
+        mu, allowed = _random_instance(rng)
+        count = count_partitions(mu, allowed)
+        assert count == len(enumerate_partitions(mu, allowed)), (mu, allowed)
+        nonzero += count > 0
+    assert nonzero > 100
+
+
+@st.composite
+def _small_instances(draw):
+    lie_type, rank = draw(st.sampled_from(
+        [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4)]))
+    roots = positive_roots(lie_type, rank)
+    keep = draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
+    n = ambient_dim(lie_type, rank)
+    mu = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    return tuple(mu), [r for r, k in zip(roots, keep) if k]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(instance=_small_instances())
+def test_count_matches_enumeration_property(instance):
+    mu, allowed = instance
+    assert count_partitions(mu, allowed) == len(enumerate_partitions(mu, allowed))
+
+
+def test_count_weighted_is_linear():
+    assert count_weighted({}, A3) == 0
+    assert count_weighted({(0, 0, 0, 0): 7}, A3) == 7
+    mapping = {(1, 1, -1, -1): 3, (2, 0, 0, -2): 5, (1, 0, 0, -1): -2, (0, 1, -2, 1): 4}
+    expected = sum(ways * count_partitions(w, A3) for w, ways in mapping.items())
+    assert expected == 3 * 5 + 5 * 10 - 2 * 4
+    assert count_weighted(mapping, A3) == expected
+    with pytest.raises(DomainError):
+        count_weighted({(0, 0, 0, 0): 1, (1, -1): 1}, A3)
+
+
+def test_a7_staircase_count():
+    assert count_partitions((7, 6, 5, 4, 3, 2, 1, -28),
+                            positive_roots("A", 7)) == 78608134640816
 
 
 def test_restriction_monotonicity():
