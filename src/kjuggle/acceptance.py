@@ -9,6 +9,7 @@ command-line selftest.
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 from .bcd import (b_to_a_inverse, b_to_a_map, c_to_a_inverse, c_to_a_map,
@@ -351,12 +352,13 @@ CRITERIA = (
 
 
 def run_all():
-    """Run every criterion; returns a list of (key, title, ok, detail)."""
+    """Run every criterion; returns a list of (key, title, ok, detail, seconds)."""
     results = []
     for key, title, fn in CRITERIA:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except (DomainError, InvariantViolation) as exc:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append((key, title, ok, detail))
+        results.append((key, title, ok, detail, time.perf_counter() - start))
     return results

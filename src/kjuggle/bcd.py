@@ -163,7 +163,8 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
 
     The leaves go into one {residual: configurations} mapping, counted in a
     single count_weighted call (exact: the count is linear in the mapping).
-    Branches die as soon as a prefix sum of the residual goes negative.
+    Each root's multiplicity is bounded so that no prefix sum of the
+    residual goes negative.
     """
     if lie_type not in ("B", "C", "D"):
         raise DomainError("the reduction applies to types B, C, D")
@@ -174,25 +175,29 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     all_roots = positive_roots(lie_type, rank)
     minus_roots = tuple(r for r in all_roots if r.kind == MINUS)
     weights = [root_to_weight(r, rank) for r in all_roots if walked(r)]
+    # A positive root's prefix sums are nonnegative, and `bound` never takes
+    # a residual prefix sum below zero, so after the check on mu they stay
+    # nonnegative and are carried down the walk by subtraction.
+    gpres = [_prefix_sums(g) for g in weights]
+    steps = [[(k, g) for k, g in enumerate(gpre) if g > 0] for gpre in gpres]
     leaves: dict = {}
 
-    def rec(idx, w):
-        pre = _prefix_sums(w)
-        if min(pre) < 0:
-            return
+    def rec(idx, w, pre):
         if idx == len(weights):
             if pre[-1] == 0:
                 leaves[w] = leaves.get(w, 0) + 1
             return
-        gpre = _prefix_sums(weights[idx])
-        bound = min(p // g for p, g in zip(pre, gpre) if g > 0)
-        cur = w
+        weight, gpre = weights[idx], gpres[idx]
+        bound = min(pre[k] // g for k, g in steps[idx])
         for mult in range(bound + 1):
-            rec(idx + 1, cur)
+            rec(idx + 1, w, pre)
             if mult < bound:
-                cur = tuple(a - b for a, b in zip(cur, weights[idx]))
+                w = tuple(a - b for a, b in zip(w, weight))
+                pre = [p - g for p, g in zip(pre, gpre)]
 
-    rec(0, mu)
+    pre = _prefix_sums(mu)
+    if min(pre) >= 0:
+        rec(0, mu, pre)
     return count_weighted(leaves, minus_roots)
 
 

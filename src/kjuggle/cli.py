@@ -468,17 +468,18 @@ def _cmd_selftest(args) -> int:
     failed = [r for r in results if not r[2]]
     if args.json:
         _emit_json({
-            "criteria": [{"key": key, "title": title, "ok": ok, "detail": detail}
-                         for key, title, ok, detail in results],
+            "criteria": [{"key": key, "title": title, "ok": ok, "detail": detail,
+                          "seconds": f"{seconds:.3f}"}
+                         for key, title, ok, detail, seconds in results],
             "passed": str(len(results) - len(failed)),
             "failed": str(len(failed)),
         })
         return 0 if not failed else 1
-    for key, title, ok, detail in results:
+    for key, title, ok, detail, seconds in results:
         if args.quiet and ok:
             continue
         status = "PASS" if ok else "FAIL"
-        print(f"{status}  {key:<22} {title} [{detail}]")
+        print(f"{status}  {key:<22} {title} [{detail}] {seconds:.3f} s")
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 0 if not failed else 1
 

@@ -3,9 +3,11 @@
 A partition is stored as a canonically sorted tuple of (root, multiplicity)
 pairs.  Both engines take the allowed roots in canonical order and bound each
 multiplicity by the coordinates the remaining roots can no longer raise, so
-multisets are produced exactly once.  Enumeration recurses root by root;
-counting runs forward over a layer of {residual weight: ways}, one
-(kind, i) group of roots at a time, so equal residuals merge.
+multisets are produced exactly once.  Enumeration is liveness-guided: a
+per-call memo keeps each node's children that can still reach zero, and the
+walk descends only into those, in an order that emits partitions canonically
+with no sort.  Counting runs forward over a layer of {residual weight: ways},
+one (kind, i) group of roots at a time, so equal residuals merge.
 """
 
 from __future__ import annotations
@@ -157,33 +159,47 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
     _check_ambient(target, roots)
     n = len(roots)
     first_mixed = next((k for k, r in enumerate(roots) if r.kind != MINUS), n)
+    memo: dict = {}
     found: list[Partition] = []
     chosen: list[tuple[Root, int]] = []
+
+    def live_children(idx, w) -> list:
+        """The (mult, residual) children of node (idx, w) from which the later
+        roots can still reach zero, mult 1..bound then 0; empty if it is dead.
+        Every tuple below a mult-0 child continues with a later root, so this
+        order emits partitions canonically (no tuple ends at mult 0, as
+        positive roots never sum to zero)."""
+        key = (idx, w)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = []
+        if idx < n:
+            root = roots[idx]
+            dead = (min(w) < 0 if idx >= first_mixed else
+                    w[root.i - 1] < 0 or (first_mixed == n and any(w[:root.i - 1])))
+            if not dead:
+                for mult in (*range(1, _max_mult(root, w) + 1), 0):
+                    child = _subtract(w, root, mult) if mult else w
+                    if not any(child) or live_children(idx + 1, child):
+                        out.append((mult, child))
+        memo[key] = out
+        return out
 
     def rec(idx, w):
         if not any(w):
             found.append(tuple(chosen))
             return
-        if idx == n:
-            return
         root = roots[idx]
-        if idx >= first_mixed and min(w) < 0:
-            return
-        if root.kind == MINUS:
-            if first_mixed == n and any(w[k] for k in range(root.i - 1)):
-                return
-            if w[root.i - 1] < 0:
-                return
-        bound = _max_mult(root, w)
-        for mult in range(bound + 1):
+        for mult, child in memo[idx, w]:
             if mult:
                 chosen.append((root, mult))
-            rec(idx + 1, _subtract(w, root, mult) if mult else w)
+            rec(idx + 1, child)
             if mult:
                 chosen.pop()
 
-    rec(0, target)
-    found.sort(key=lambda p: tuple((r.sort_key(), m) for r, m in p))
+    if not any(target) or live_children(0, target):
+        rec(0, target)
     return found
 
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bijection import gamma_inverse
+from .bijection import gamma_inverse, root_of_throw
 from .errors import DomainError, InvariantViolation
-from .juggling import enumerate_sequences
-from .kostant import Partition, make_partition, partition_parts
-from .roots import eminus
+from .juggling import Throw, enumerate_sequences
+from .kostant import partition_parts
 
 
 @dataclass(frozen=True)
@@ -37,41 +36,41 @@ class JugglingPoset:
 
 
 def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
-    """Construct the poset on all sequences from a to b of length n."""
+    """Construct the poset on all sequences from a to b of length n.
+
+    Covers are found in throw space: throws (t, h1) and (t + h1, h2) merge
+    into (t, h1 + h2), the image under gamma_inverse of fusing
+    e_t - e_{t+h1} and e_{t+h1} - e_{t+h1+h2}.
+    """
     seqs = enumerate_sequences(a, b, n, capacity)
     if not seqs:
         raise DomainError("no juggling sequences exist for these parameters")
+    instance = f"build_poset(a={a}, b={b}, n={n}, capacity={capacity})"
     partitions = [gamma_inverse(s) for s in seqs]
-    index = {p: k for k, p in enumerate(partitions)}
+    index = {s.throws: k for k, s in enumerate(seqs)}
     min_throws = min(len(s.throws) for s in seqs)
     ranks = tuple(len(s.throws) - min_throws for s in seqs)
     covers = set()
-    for k, part in enumerate(partitions):
-        roots = sorted(set(partition_parts(part)), key=lambda r: r.sort_key())
-        counts = dict(part)
-        for first in roots:
-            for second in roots:
-                if first.j != second.i:
+    for k, seq in enumerate(seqs):
+        distinct = set(seq.throws)
+        for first in distinct:
+            for second in distinct:
+                if first.time + first.height != second.time:
                     continue
-                merged = _merge(counts, first, second)
-                other = index.get(merged)
+                merged = list(seq.throws)
+                merged.remove(first)
+                merged.remove(second)
+                merged.append(Throw(first.time, first.height + second.height))
+                other = index.get(tuple(sorted(merged)))
                 if other is None:
                     raise InvariantViolation(
-                        f"merge of {first} and {second} left the sequence set")
+                        f"{instance}: merge of {root_of_throw(first)} and "
+                        f"{root_of_throw(second)} left the sequence set")
                 covers.add((other, k))
     for lo, hi in covers:
         if ranks[hi] != ranks[lo] + 1:
-            raise InvariantViolation("cover does not raise rank by one")
+            raise InvariantViolation(f"{instance}: cover does not raise rank by one")
     return JugglingPoset(tuple(seqs), tuple(partitions), tuple(sorted(covers)), ranks)
-
-
-def _merge(counts, first, second) -> Partition:
-    parts = []
-    for root, mult in counts.items():
-        mult -= (root == first) + (root == second)
-        parts.extend([root] * mult)
-    parts.append(eminus(first.i, second.j))
-    return make_partition(parts)
 
 
 def _strictly_below(poset: JugglingPoset):
@@ -110,12 +109,10 @@ def mobius_from_bottom(poset: JugglingPoset) -> list[int]:
             continue
         total = 0
         mask = below[x]
-        y = 0
-        while mask:
-            if mask & 1:
-                total += mobius[y]
-            mask >>= 1
-            y += 1
+        while mask:  # set bits only: the cost is the number of comparable pairs
+            low = mask & -mask
+            total += mobius[low.bit_length() - 1]
+            mask ^= low
         mobius[x] = -total
     return mobius
 

@@ -227,3 +227,4 @@ def test_selftest_json(capsys):
     payload = json.loads(out)
     assert payload["failed"] == "0"
     assert len(payload["criteria"]) == 15
+    assert all(float(c["seconds"]) >= 0 for c in payload["criteria"])

@@ -79,15 +79,29 @@ def _random_instance(rng):
     return tuple(rng.randint(-3, 3) for _ in range(n)), allowed
 
 
+def _canonical_key(partition):
+    return tuple((root.sort_key(), mult) for root, mult in partition)
+
+
+def _assert_canonical_listing(parts, mu):
+    """Strictly increasing in the canonical key, and every element sums to mu."""
+    keys = [_canonical_key(p) for p in parts]
+    assert all(x < y for x, y in zip(keys, keys[1:])), mu
+    assert all(partition_weight(p, len(mu)) == tuple(mu) for p in parts), mu
+
+
 def test_count_matches_enumeration_on_random_subsets():
     # the forward layer count and the recursive enumeration are separate
-    # code paths; they must agree on restricted root sets of every type
+    # code paths; they must agree on restricted root sets of every type, and
+    # the listing (which is never sorted) must come out canonically ordered
     rng = random.Random(20201)
     nonzero = 0
     for _ in range(400):
         mu, allowed = _random_instance(rng)
         count = count_partitions(mu, allowed)
-        assert count == len(enumerate_partitions(mu, allowed)), (mu, allowed)
+        parts = enumerate_partitions(mu, allowed)
+        assert count == len(parts), (mu, allowed)
+        _assert_canonical_listing(parts, mu)
         nonzero += count > 0
     assert nonzero > 100
 
@@ -107,7 +121,17 @@ def _small_instances(draw):
 @given(instance=_small_instances())
 def test_count_matches_enumeration_property(instance):
     mu, allowed = instance
-    assert count_partitions(mu, allowed) == len(enumerate_partitions(mu, allowed))
+    parts = enumerate_partitions(mu, allowed)
+    assert count_partitions(mu, allowed) == len(parts)
+    _assert_canonical_listing(parts, mu)
+
+
+def test_enumeration_depth_is_one_frame_per_root():
+    # 400 roots: the walk passes every one of them with multiplicity 0
+    roots = positive_roots("B", 20)
+    last = esingle(20)
+    mu = root_to_weight(last, 20)
+    assert enumerate_partitions(mu, roots) == [((last, 1),)]
 
 
 def test_count_weighted_is_linear():
