@@ -140,8 +140,12 @@ def _landing_bound(a: State, b: State, n: int) -> int:
 
 
 def _dead(state: State, time: int, deadline: int) -> bool:
-    """A positive entry that cannot land by the deadline can never reach b."""
-    return any(x > 0 and time + k + 1 > deadline for k, x in enumerate(state))
+    """A positive entry that cannot land by the deadline can never reach b.
+
+    Entry k lands at time + k + 1, so only the tail from k = deadline - time
+    on can be late.
+    """
+    return any(x > 0 for x in state[deadline - time:])
 
 
 def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS) -> int:
@@ -149,13 +153,18 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
 
     Forward dynamic programming over per-time state layers with exact integer
     counts.  Each time step is factored across the whole layer rather than
-    expanded state by state: the states are merged into (balls left in hand,
-    dropped state) keys, then the allowed heights are visited one at a time,
-    each key sending 0..left of its remaining balls to that height, and the
-    keys are merged again after every height.  Every multiset of throw
-    heights is produced exactly once, so the sums are exact and independent
-    of dictionary order.  Ball conservation makes mismatched totals count
-    zero.
+    expanded state by state: the states are merged into dropped states
+    bucketed by the balls still in hand, then the allowed heights are visited
+    one at a time.  At each height the buckets are swept from the most balls
+    left down to none, each bucket first receiving every key of the bucket
+    above with exactly one more ball at that height; a key stops its chain
+    once that height is full (the capacity, or zero for a positive ball past
+    the deadline).  A key with l balls left thus reaches bucket l - k with k
+    more balls at the height for every feasible k exactly once, so every
+    multiset of throw heights is produced exactly once, and the sums are
+    exact and independent of dictionary order.  Keys with no ball left leave
+    the sweep at once and are checked into the next layer.  Ball conservation
+    makes mismatched totals count zero.
     """
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
@@ -171,46 +180,48 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
         return 0
     bound = _landing_bound(a, b, n)
 
-    def settle(nxt, state, time, ways):
-        state = normalize_state(state)
-        if capacity is not None and any(x > capacity for x in state):
-            return
-        if not _dead(state, time, deadline):
-            nxt[state] = nxt.get(state, 0) + ways
-
     layer = {a: 1}
     for time in range(1, n + 1):
-        nxt: dict = {}
-        pending: dict = {}
+        done: dict = {}  # bucket 0: dropped states with every ball thrown
+        levels: dict = {}  # balls left in hand -> {dropped state: ways}
         for state, ways in layer.items():
             hand = state[0] if state else 0
-            if hand == 0:
-                settle(nxt, state[1:], time, ways)
-            elif hand > 0:
-                key = (hand, state[1:])
-                pending[key] = pending.get(key, 0) + ways
+            if hand >= 0:
+                bucket = levels.setdefault(hand, {}) if hand else done
+                s = state[1:]
+                bucket[s] = bucket.get(s, 0) + ways
         for j in range(1, bound - time + 1):
-            if not pending:
+            if not levels:
                 break
             if not allowed.allows(time, j):
                 continue
             # A positive entry at height j is final after this height; past
             # the deadline it could never land, so only magic may stay there.
             top = capacity if time + j <= deadline else 0
-            merged: dict = {}
-            for (left, s), ways in pending.items():
-                if len(s) < j:
-                    s = s + (0,) * (j - len(s))
-                head, base, tail = s[:j - 1], s[j - 1], s[j:]
-                most = left if top is None else min(left, top - base)
-                for k in range(most + 1):
-                    key = (left - k, head + (base + k,) + tail)
-                    merged[key] = merged.get(key, 0) + ways
-            pending = merged
-        for (left, s), ways in pending.items():
-            if not left:
-                settle(nxt, s, time, ways)
-        layer = nxt
+            swept: dict = {}
+            above: dict = {}
+            for left in range(max(levels), -1, -1):
+                cur = levels.get(left, {}) if left else done
+                for s, ways in above.items():
+                    if len(s) < j:
+                        s += (0,) * (j - len(s))
+                    base = s[j - 1]
+                    if top is not None and base >= top:
+                        continue
+                    s = s[:j - 1] + (base + 1,) + s[j:]
+                    cur[s] = cur.get(s, 0) + ways
+                if left and cur:
+                    swept[left] = cur
+                above = cur
+            levels = swept
+        layer = {}
+        for state, ways in done.items():
+            if state and not state[-1]:  # magic cancelled at the last height
+                state = normalize_state(state)
+            if state and capacity is not None and max(state) > capacity:
+                continue
+            if max(state[deadline - time:], default=0) <= 0:
+                layer[state] = layer.get(state, 0) + ways
         if not layer:
             break
     return layer.get(b, 0)

@@ -23,12 +23,16 @@ from .kostant import partition_parts
 @dataclass(frozen=True)
 class JugglingPoset:
     sequences: tuple
-    partitions: tuple
     covers: tuple  # (below, above) index pairs; above has one throw more
     ranks: tuple
 
     def __len__(self):
         return len(self.sequences)
+
+    @property
+    def partitions(self) -> tuple:
+        """The Kostant partition of each sequence, derived on each access."""
+        return tuple(gamma_inverse(s) for s in self.sequences)
 
     @property
     def top_rank(self) -> int:
@@ -46,7 +50,6 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
     if not seqs:
         raise DomainError("no juggling sequences exist for these parameters")
     instance = f"build_poset(a={a}, b={b}, n={n}, capacity={capacity})"
-    partitions = [gamma_inverse(s) for s in seqs]
     index = {s.throws: k for k, s in enumerate(seqs)}
     min_throws = min(len(s.throws) for s in seqs)
     ranks = tuple(len(s.throws) - min_throws for s in seqs)
@@ -70,7 +73,7 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
     for lo, hi in covers:
         if ranks[hi] != ranks[lo] + 1:
             raise InvariantViolation(f"{instance}: cover does not raise rank by one")
-    return JugglingPoset(tuple(seqs), tuple(partitions), tuple(sorted(covers)), ranks)
+    return JugglingPoset(tuple(seqs), tuple(sorted(covers)), ranks)
 
 
 def _strictly_below(poset: JugglingPoset):
@@ -98,7 +101,7 @@ def mobius_from_bottom(poset: JugglingPoset) -> list[int]:
     """Mobius values from the unique minimal element to every element."""
     minima = minimal_elements(poset)
     if len(minima) != 1:
-        names = ", ".join(str(poset.partitions[k]) for k in sorted(minima))
+        names = ", ".join(str(gamma_inverse(poset.sequences[k])) for k in sorted(minima))
         raise DomainError(f"poset has {len(minima)} minimal elements: {names}")
     below = _strictly_below(poset)
     n = len(poset)

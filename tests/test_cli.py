@@ -1,4 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kjuggle import cli
 from kjuggle.cli import dispatch
@@ -228,3 +233,38 @@ def test_selftest_json(capsys):
     assert payload["failed"] == "0"
     assert len(payload["criteria"]) == 15
     assert all(float(c["seconds"]) >= 0 for c in payload["criteria"])
+
+
+JS_STATES = ["0", "1", "2", "3", "1,1", "0,1", "2,1", "1,0,1", "2,0,-1", "-1,1", "1,-1,1",
+             "", "1,,1", "a", "1.5"]
+JS_LENGTHS = [None, "0", "1", "2", "3", "4", "-1", "x"]
+JS_CAPACITIES = [None, "1", "2", "3", "0", "-2", "y"]
+JS_THROWS = [None, "heights=1,2", "heights=2", "heights=0", "heights=", "foo"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(initial=st.sampled_from(JS_STATES), terminal=st.sampled_from(JS_STATES),
+       length=st.sampled_from(JS_LENGTHS), capacity=st.sampled_from(JS_CAPACITIES),
+       throws=st.sampled_from(JS_THROWS),
+       as_json=st.booleans())
+def test_js_count_inputs_end_cleanly(initial, terminal, length, capacity, throws, as_json):
+    argv = ["js", "count", "--initial", initial, "--terminal", terminal]
+    for flag, value in (("--length", length), ("--capacity", capacity), ("--throws", throws)):
+        if value is not None:
+            argv += [flag, value]
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(argv)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert lines == [] and out.getvalue().count("\n") == 1
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and out.getvalue() == ""
+    else:
+        # argparse prints its usage synopsis, then its one-line message
+        assert code == 2 and out.getvalue() == ""
+        assert lines[0].startswith("usage: ") and lines[-1].startswith("kjuggle js: error: ")
+        assert all(line.startswith(" ") for line in lines[1:-1])

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kjuggle.bijection import net_change_target, time_bounded_roots
 from kjuggle.errors import DomainError
 from kjuggle.juggling import (ALL_THROWS, Throw, ThrowSet, count_sequences,
                               enumerate_labeled_sequences, enumerate_sequences,
                               label_component, labeled_count, net_change_vector,
                               normalize_state, successors)
-from kjuggle.kostant import count_partitions
+from kjuggle.kostant import count_capacity_restricted, count_partitions
 from kjuggle.roots import positive_roots
 
 
@@ -155,6 +156,39 @@ class TestCountAgainstEnumeration:
         a = (2, 0, 0, -1)
         assert len(a) > 2 + len((1,))
         assert count_sequences(a, (1,), 2) == len(enumerate_sequences(a, (1,), 2)) == 4
+
+    def test_magic_cancelled_past_the_deadline(self):
+        # The magic ball sits past the deadline n + len(b) = 3, so positive
+        # balls may only land there to cancel it: the height is full at zero
+        # while its entry is still negative.
+        a, b = (2, 2, 0, 0, -3), (1,)
+        assert count_sequences(a, b, 2) == len(enumerate_sequences(a, b, 2)) == 5
+        assert count_sequences(a, b, 2, 2) == len(enumerate_sequences(a, b, 2, 2)) == 2
+        # two balls thrown to one height past the deadline cancel a -2
+        assert count_sequences((3, 0, 0, -2), (1,), 1) == len(
+            enumerate_sequences((3, 0, 0, -2), (1,), 1)) == 1
+
+
+def test_capacity_count_matches_restricted_partitions_past_the_grid():
+    """Ranks 4-5 and capacities 2-4, beyond the acceptance grid's sizes."""
+    rng = random.Random(5407)
+    checked = nonzero = 0
+    while checked < 400:
+        capacity = rng.randint(2, 4)
+        ambient = rng.choice((5, 6))
+        n = rng.randint(ambient - 2, ambient - 1)
+        a = normalize_state(rng.randint(0, capacity) for _ in range(rng.randint(1, ambient)))
+        b = [rng.randint(0, capacity) for _ in range(ambient - n - 1)]
+        b.append(sum(a) - sum(b))
+        if b[-1] < 1:
+            continue
+        target = net_change_target(a, b, n)
+        expected = count_capacity_restricted(target, time_bounded_roots(n, len(target)),
+                                             a, capacity)
+        assert count_sequences(a, b, n, capacity) == expected, (a, b, n, capacity)
+        checked += 1
+        nonzero += expected > 0
+    assert nonzero >= 100
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
