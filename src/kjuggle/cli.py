@@ -11,13 +11,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import acceptance
 from .bcd import (b_to_a_inverse, b_to_a_map, c_to_a_inverse, c_to_a_map,
                   count_highest_root_bcd, schmidt_bincer_count,
                   schmidt_bincer_literal)
 from .bijection import gamma, verify_correspondence
-from .closedforms import (CLOSED_FORMS, catalan, catalan_product_check,
+from .closedforms import (CLOSED_FORMS, catalan_product_check,
                           closed_form_check, count_matrices, determinant,
                           ehrhart_fit, gf_coefficients, gf_direct_count,
                           gf_row, lidskii_count, permanent, surd_value)
@@ -42,25 +43,23 @@ def _parse_ints(text: str, what: str):
         raise DomainError(f"malformed {what}: {text!r}") from None
 
 
-def _load_roots(path: str):
+def _read_lines(path: str, what: str) -> list[str]:
+    """The stripped lines of a file, blank lines and # comments dropped."""
     try:
         with open(path) as handle:
             lines = [line.strip() for line in handle]
     except OSError as exc:
-        raise DomainError(f"cannot read roots file {path}: {exc}") from None
-    return [parse_root(line) for line in lines if line and not line.startswith("#")]
+        raise DomainError(f"cannot read {what} file {path}: {exc}") from None
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _load_roots(path: str):
+    return [parse_root(line) for line in _read_lines(path, "roots")]
 
 
 def _load_partition(path: str):
-    try:
-        with open(path) as handle:
-            lines = [line.strip() for line in handle]
-    except OSError as exc:
-        raise DomainError(f"cannot read partition file {path}: {exc}") from None
     parts = []
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
+    for line in _read_lines(path, "partition"):
         fields = line.split()
         root = parse_root(fields[0])
         mult = 1
@@ -82,15 +81,8 @@ def _parse_throws(spec: str) -> ThrowSet:
 
 
 def _load_throws(path: str) -> ThrowSet:
-    try:
-        with open(path) as handle:
-            lines = [line.strip() for line in handle]
-    except OSError as exc:
-        raise DomainError(f"cannot read throws file {path}: {exc}") from None
     throws = []
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
+    for line in _read_lines(path, "throws"):
         left, sep, right = line.partition(":")
         if not sep:
             raise DomainError(f"malformed throw {line!r}; expected time:height")
@@ -439,12 +431,9 @@ def _cmd_closedform(args) -> int:
 
 
 def _cmd_catalan(args) -> int:
-    value = catalan_product_check(args.r)
-    prod = 1
-    for k in range(1, args.r - 1):
-        prod *= catalan(k)
+    value = catalan_product_check(args.r)  # raises unless it is the Catalan product
     if args.json:
-        _emit_json({"r": args.r, "sequences": str(value), "catalan_product": str(prod)})
+        _emit_json({"r": args.r, "sequences": str(value), "catalan_product": str(value)})
     else:
         print(value)
     return 0
@@ -487,8 +476,16 @@ def _cmd_selftest(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line `<prog>: error: <message>` on
+    stderr and exits 2; sub-parsers are built with the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kjuggle",
         description="Kostant partition functions and magic multiplex juggling sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -590,11 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first dispatch rather than at import."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
     """Run one command; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -9,7 +9,7 @@ polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import DomainError, InvariantViolation
 from .juggling import count_sequences, normalize_state
@@ -50,26 +50,25 @@ def count_matrices(rank: int, allowed):
 
 
 def permanent(matrix) -> int:
-    """Exact permanent by Ryser's inclusion-exclusion over column subsets."""
+    """Exact permanent by Ryser's inclusion-exclusion over column subsets.
+
+    The subsets are visited in Gray-code order, so each step updates the row
+    sums by the one column that flips; step k's subset has k's parity.
+    """
     size = len(matrix)
     if size == 0:
         return 1
+    columns = list(zip(*matrix))
+    sums = [0] * size
     total = 0
-    for mask in range(1, 1 << size):
-        bits = mask.bit_count()
-        prod = 1
-        for row in matrix:
-            s = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                s += row[low.bit_length() - 1]
-                rest ^= low
-            prod *= s
-            if prod == 0:
-                break
-        total += (-1) ** (size - bits) * prod
-    return total
+    for k in range(1, 1 << size):
+        c = (k & -k).bit_length() - 1
+        if (k ^ k >> 1) >> c & 1:
+            sums = [s + x for s, x in zip(sums, columns[c])]
+        else:
+            sums = [s - x for s, x in zip(sums, columns[c])]
+        total += -prod(sums) if k & 1 else prod(sums)
+    return -total if size & 1 else total
 
 
 def determinant(matrix) -> int:
@@ -265,42 +264,22 @@ def _periodic_weight(rank: int, state, length: int):
     return tuple(w)
 
 
-def _c45_direct(r):
-    return count_sequences((2,), (2,), r, 2)
-
-
 def _c45_oracle(r):
     return count_partitions(_periodic_weight(r, (2,), r), positive_roots("A", r))
 
 
-def _c46_direct(r):
-    return count_sequences((1, 1), (1, 1), r - 1, 2)
+def _periodic_direct(state, short: int):
+    """Periodic sequences of the state of length r - short, capacity 2."""
+    return lambda r: count_sequences(state, state, r - short, 2)
 
 
-def _c46_oracle(r):
-    mu = _periodic_weight(r, (1, 1), r - 1)
-    lam = [x for x in positive_roots("A", r) if x.i <= r - 1]
-    return count_capacity_restricted(mu, lam, (1, 1), 2)
-
-
-def _c47_direct(r):
-    return count_sequences((2, 1), (2, 1), r - 1, 2)
-
-
-def _c47_oracle(r):
-    mu = _periodic_weight(r, (2, 1), r - 1)
-    lam = [x for x in positive_roots("A", r) if x.i <= r - 1]
-    return count_capacity_restricted(mu, lam, (2, 1), 2)
-
-
-def _c48_direct(r):
-    return count_sequences((1, 1, 1), (1, 1, 1), r - 2, 2)
-
-
-def _c48_oracle(r):
-    mu = _periodic_weight(r, (1, 1, 1), r - 2)
-    lam = [x for x in positive_roots("A", r) if x.i <= r - 2]
-    return count_capacity_restricted(mu, lam, (1, 1, 1), 2)
+def _capacity_oracle(state, short: int):
+    """The same count on the partition side: throws start before r - short."""
+    def oracle(r):
+        mu = _periodic_weight(r, state, r - short)
+        lam = [x for x in positive_roots("A", r) if x.i <= r - short]
+        return count_capacity_restricted(mu, lam, state, 2)
+    return oracle
 
 
 # which -> (min rank, seed ranks, recurrence (p, q) for a_r = p a_{r-1} + q a_{r-2},
@@ -308,13 +287,14 @@ def _c48_oracle(r):
 # surd parameters: (k, u, v, shift, form, c, d, denom maker); the closed form is
 #   ((c + d sqrt k)(u + v sqrt k)^(r-shift) +/- conjugate) / denom(r).
 CLOSED_FORMS = {
-    "c45": (2, (2, 3), (5, -5), _c45_direct, _c45_oracle,
+    "c45": (2, (2, 3), (5, -5), _periodic_direct((2,), 0), _c45_oracle,
             (5, 5, 1, 0, "plus", 1, 0, lambda r: 5 * 2 ** r)),
-    "c46": (2, (2, 3, 4), (5, -5), _c46_direct, _c46_oracle,
+    "c46": (2, (2, 3, 4), (5, -5), _periodic_direct((1, 1), 1), _capacity_oracle((1, 1), 1),
             (5, 5, 1, 1, "minus", 3, 1, lambda r: 5 * 2 ** r)),
-    "c47": (3, (3, 4), (8, -13), _c47_direct, _c47_oracle,
+    "c47": (3, (3, 4), (8, -13), _periodic_direct((2, 1), 1), _capacity_oracle((2, 1), 1),
             (3, 4, 1, 1, "minus", 9, 14, lambda r: 169)),
-    "c48": (5, (5, 6), (8, -13), _c48_direct, _c48_oracle,
+    "c48": (5, (5, 6), (8, -13), _periodic_direct((1, 1, 1), 2),
+            _capacity_oracle((1, 1, 1), 2),
             (3, 4, 1, 2, "plus", 9, 14, lambda r: 338)),
 }
 
@@ -380,11 +360,9 @@ def catalan_product_check(r: int) -> int:
     if r < 3:
         raise DomainError("the identity needs rank >= 3")
     js = count_sequences(tuple(range(1, r - 1)), (comb(r - 1, 2),), r - 2)
-    prod = 1
-    for k in range(1, r - 1):
-        prod *= catalan(k)
-    if js != prod:
-        raise InvariantViolation(f"sequence count {js} != Catalan product {prod} at rank {r}")
+    product = prod(catalan(k) for k in range(1, r - 1))
+    if js != product:
+        raise InvariantViolation(f"sequence count {js} != Catalan product {product} at rank {r}")
     return js
 
 

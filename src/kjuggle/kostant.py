@@ -7,12 +7,16 @@ multisets are produced exactly once.  Enumeration is liveness-guided: a
 per-call memo keeps each node's children that can still reach zero, and the
 walk descends only into those, in an order that emits partitions canonically
 with no sort.  Counting runs forward over a layer of {residual weight: ways},
-one (kind, i) group of roots at a time, so equal residuals merge.
+one (kind, i) group of roots at a time, so equal residuals merge; there each
+residual is packed into one int of fixed-width biased coordinate fields, so
+a copy of a root is one subtraction and each prune one mask test.  The
+capacity-restricted count is the same sweep with a ceiling per coordinate.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from operator import attrgetter
 
 from .errors import DomainError
 from .roots import DOUBLE, MINUS, PLUS, SINGLE, Root, root_to_weight
@@ -88,6 +92,80 @@ def _check_ambient(target, roots):
     return ambient
 
 
+def _sweep(targets, roots, ceiling=None) -> int:
+    """The layer DP of count_weighted over a {weight: ways} mapping and
+    canonical roots that fit every target, on packed residuals; `ceiling`,
+    if given, caps each coordinate j that an e_i - e_j copy raises."""
+    span = max((sum(map(abs, w)) for w in targets), default=0)
+    half = 1 << span.bit_length()
+    bits = span.bit_length() + 1
+    mask = (half << 1) - 1
+    bias = sum(half << bits * k for k in range(max(map(len, targets), default=0)))
+    layer: dict = {}
+    for target, ways in targets.items():
+        w = bias + sum(x << bits * k for k, x in enumerate(target))
+        layer[w] = layer.get(w, 0) + ways
+    pure = not roots or roots[-1].kind == MINUS  # canonical order: e_i - e_j first
+    for (kind, i), group in groupby(roots, key=attrgetter("kind", "i")):
+        if not layer:
+            return 0
+        shift = bits * (i - 1)
+        top = half << shift
+        low = (1 << shift) - 1
+        need = 2 if kind == DOUBLE else 1
+        out: dict = {}
+        levels: dict = {}
+        # Prunes: past the e_i - e_j roots no root raises a coordinate; from
+        # an e_i - e_j group on, nothing raises coordinate i, and a pure
+        # e_i - e_j set never touches the coordinates below i again.
+        for w, ways in layer.items():
+            if kind != MINUS:
+                if w & bias != bias:
+                    continue
+            elif not w & top or (pure and w & low != bias & low):
+                continue
+            c = (((w >> shift) & mask) - half) // need
+            if c:
+                levels.setdefault(c, {})[w] = ways
+            else:
+                out[w] = ways
+        most = max(levels, default=0)  # each sweep keeps a bucket per level 1..most
+        for root in group if most else ():  # most == 0: no weight pays for a copy
+            # A copy is sent from w while lo <= w & sel < hi: always, but for
+            # e_i + e_j only while w[j] > 0 (coordinates are nonnegative in a
+            # mixed group) and under a ceiling only while w[j] < ceiling[j].
+            sel, lo, hi = 0, 0, 1
+            delta = 1 << shift
+            if kind == MINUS:
+                j = bits * (root.j - 1)
+                delta -= 1 << j
+                if ceiling is not None:
+                    sel, hi = mask << j, (ceiling[root.j - 1] + half) << j
+            elif kind == PLUS:
+                j = bits * (root.j - 1)
+                delta += 1 << j
+                sel = mask << j
+                lo, hi = (half + 1) << j, sel + 1
+            elif kind == DOUBLE:
+                delta <<= 1
+            nxt: dict = {}
+            above: dict = {}
+            for c in range(most, -1, -1):
+                cur = levels.get(c, {}) if c else out
+                for w, ways in above.items():
+                    if lo <= w & sel < hi:
+                        r = w - delta
+                        cur[r] = cur.get(r, 0) + ways
+                if c:
+                    nxt[c] = cur
+                above = cur
+            levels = nxt
+        for cur in levels.values():  # keys disjoint from out's: w[i] >= need
+            out.update(cur)
+        layer = out
+    return layer.get(bias, 0)
+
+
 def count_weighted(targets, allowed) -> int:
     """Sum over a {weight: ways} mapping of ways times the number of
     partitions of the weight into the allowed roots (linear in the mapping).
@@ -97,51 +175,18 @@ def count_weighted(targets, allowed) -> int:
     0 skips or leaves the group); per root, the buckets are swept downward,
     each receiving the one above minus one copy, which sends 0..max copies
     in one step per distinct residual.
+
+    A residual is one int: coordinate k (zero past a target's length) plus
+    half = 2^(bits-1) in the bits-wide field at bit bits * k.  Coordinates
+    stay in [-P, P], P the largest sum(abs(target)), as an e_i - e_j copy is
+    sent only while w[i] > 0 and any other only lowers nonnegative ones; so
+    with half > P no field borrows from its neighbour, a copy is one
+    subtraction, and a field's top bit is set iff its coordinate is >= 0.
     """
     roots = canonical_roots(allowed)
-    layer: dict = {}
-    for target, ways in targets.items():
-        target = tuple(target)
+    for target in targets:
         _check_ambient(target, roots)
-        layer[target] = layer.get(target, 0) + ways
-    pure = all(r.kind == MINUS for r in roots)
-    for (kind, i), group in groupby(roots, key=lambda r: (r.kind, r.i)):
-        k = i - 1
-        need = 2 if kind == DOUBLE else 1
-        out: dict = {}
-        levels: dict = {}
-        # Prunes: past the e_i - e_j roots no root raises a coordinate; from
-        # an e_i - e_j group on, nothing raises coordinate i, and a pure
-        # e_i - e_j set never touches the coordinates below i again.
-        for w, ways in layer.items():
-            if kind != MINUS:
-                if min(w) < 0:
-                    continue
-            elif w[k] < 0 or (pure and any(w[:k])):
-                continue
-            levels.setdefault(w[k] // need, {})[w] = ways
-        for root in group:
-            nxt: dict = {}
-            above: dict = {}
-            for c in range(max(levels, default=0), -1, -1):
-                cur = levels.get(c, {})
-                for w, ways in above.items():
-                    # Coordinates stay nonnegative in a mixed group, so only
-                    # e_i + e_j can run out of copies before its level does.
-                    if kind != PLUS or w[root.j - 1]:
-                        r = _subtract(w, root, 1)
-                        cur[r] = cur.get(r, 0) + ways
-                if c:
-                    nxt[c] = cur
-                else:
-                    for w, ways in cur.items():
-                        out[w] = out.get(w, 0) + ways
-                above = cur
-            levels = nxt
-        for cur in levels.values():  # keys disjoint from out's: w[k] >= need
-            out.update(cur)
-        layer = out
-    return sum(ways for w, ways in layer.items() if not any(w))
+    return _sweep(targets, roots)
 
 
 def count_partitions(target, allowed) -> int:
@@ -222,40 +267,14 @@ def count_capacity_restricted(target, allowed, initial, capacity: int) -> int:
     target = tuple(target)
     roots = canonical_roots(allowed)
     ambient = _check_ambient(target, roots)
-    if any(r.kind != MINUS for r in roots):
+    if roots and roots[-1].kind != MINUS:  # canonical order lists e_i - e_j roots first
         raise DomainError("capacity-restricted counting is defined only for e_i - e_j roots")
     if capacity < 1:
         raise DomainError("capacity must be a positive integer")
-    initial = tuple(initial)
-    budgets = tuple(capacity - (initial[k] if k < len(initial) else 0) for k in range(ambient))
-    if min(budgets, default=0) < 0:
+    initial = tuple(initial)[:ambient]
+    if max(initial, default=0) > capacity:
         return 0
-    n = len(roots)
-    memo: dict = {}
-
-    def rec(idx, w, bud):
-        if not any(w):
-            return 1
-        if idx == n:
-            return 0
-        key = (idx, w, bud)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        root = roots[idx]
-        if w[root.i - 1] < 0 or any(w[k] for k in range(root.i - 1)):
-            memo[key] = 0
-            return 0
-        bound = min(w[root.i - 1], bud[root.j - 1])
-        total = 0
-        for mult in range(bound + 1):
-            if mult:
-                nb = list(bud)
-                nb[root.j - 1] -= mult
-                total += rec(idx + 1, _subtract(w, root, mult), tuple(nb))
-            else:
-                total += rec(idx + 1, w, bud)
-        memo[key] = total
-        return total
-
-    return rec(0, target, budgets)
+    spare = [capacity - x for x in initial] + [capacity] * (ambient - len(initial))
+    # Copies land on j only before j's own group, while w[j] is target[j]
+    # plus the copies landed so far: the spare capacity caps w[j].
+    return _sweep({target: 1}, roots, [x + s for x, s in zip(target, spare)])

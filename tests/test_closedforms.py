@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -44,6 +47,24 @@ class TestPermDet:
         assert determinant([[1, 1], [1, 1]]) == 0
         assert determinant([[2, 0], [7, 3]]) == 6
         assert permanent([]) == determinant([]) == 1
+
+    def test_permanent_matches_sum_over_permutations(self):
+        rnd = random.Random(2024)
+        for size in range(1, 7):
+            for _ in range(25):
+                m = [[rnd.randint(-4, 5) for _ in range(size)] for _ in range(size)]
+                brute = sum(prod(m[i][p[i]] for i in range(size))
+                            for p in permutations(range(size)))
+                assert permanent(m) == brute, m
+
+    def test_permanent_equals_partition_count_on_random_subsets(self):
+        rnd = random.Random(7)
+        for _ in range(60):
+            rank = rnd.randint(1, 8)
+            lam = [r for r in positive_roots("A", rank) if rnd.random() < 0.6]
+            m, _ = count_matrices(rank, lam)
+            target = (1,) + (0,) * (rank - 1) + (-1,)
+            assert permanent(m) == count_partitions(target, lam)
 
 
 class TestLidskii:

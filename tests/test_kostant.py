@@ -145,6 +145,63 @@ def test_count_weighted_is_linear():
         count_weighted({(0, 0, 0, 0): 1, (1, -1): 1}, A3)
 
 
+# Weights with coordinates of size 40 next to small ones: a residual field one
+# bit narrower than the packing uses would carry into its neighbour.
+WIDE_ENUMERATED = [
+    ("A", 2, (40, 0, -40)), ("A", 2, (0, 40, -40)), ("A", 2, (-40, 40, 0)),
+    ("A", 3, (40, 0, 0, -40)), ("A", 3, (1, 40, -1, -40)),
+    ("B", 2, (40, 0)), ("B", 2, (0, 40)), ("B", 2, (40, -40)), ("B", 2, (-40, 40)),
+    ("B", 3, (0, 40, 0)), ("B", 3, (40, 1, -40)), ("B", 3, (0, 0, -40)),
+    ("C", 3, (0, 40, 0)), ("C", 3, (40, -40, 0)), ("C", 3, (-3, 40, 3)),
+    ("D", 4, (0, 40, 0, 0)), ("D", 4, (40, 0, 0, -40)), ("D", 4, (1, 1, 40, -40)),
+]
+
+
+def test_wide_coordinates_match_enumeration():
+    for lie_type, rank, mu in WIDE_ENUMERATED:
+        roots = positive_roots(lie_type, rank)
+        assert count_partitions(mu, roots) == len(enumerate_partitions(mu, roots)), mu
+
+
+def test_wide_coordinates_pinned():
+    # values of the earlier tuple-keyed count, too many to enumerate
+    assert count_partitions((40, 0, 0), positive_roots("B", 3)) == 2589202
+    assert count_partitions((40, 0, 0), positive_roots("C", 3)) == 761530
+
+
+def test_count_weighted_mixed_lengths_signs_and_zeros():
+    a2 = positive_roots("A", 2)
+    mapping = {(1, 0, -1): 2, (1, 0, -1, 0): -3, (1, 0, -1, 0, 1): 5, (2, -1, -1, 0): 7,
+               (0, 0, 0): 4, (0, 0, 0, 0, 0): -1, (0, 1, -1, 0, 0): 0}
+    # shorter targets are zero padded: (1, 0, -1) and (1, 0, -1, 0) are the
+    # same weight, and (1, 0, -1, 0, 1) has no partition
+    expected = (2 - 3) * 2 + 7 * 2 + 4 - 1
+    assert sum(ways * count_partitions(w, a2) for w, ways in mapping.items()) == expected
+    assert count_weighted(mapping, a2) == expected
+    assert count_weighted({(): 3, (0,): -1}, []) == 2
+    assert count_weighted({(40, 0, -40): 2, (1, 0, -1): -41}, a2) == 0
+
+
+def test_bcd_counts_with_negative_coordinates_match_enumeration():
+    rng = random.Random(60606)
+    nonzero = 0
+    for _ in range(300):
+        lie_type = rng.choice("BCD")
+        rank = rng.randint({"B": 2, "C": 3, "D": 4}[lie_type], 5)
+        n = ambient_dim(lie_type, rank)
+        allowed = [r for r in positive_roots(lie_type, rank) if rng.random() < 0.7]
+        mu = [rng.randint(-3, 2) for _ in range(n)]
+        for _ in range(rng.randint(0, 4) if allowed else 0):
+            for k, x in enumerate(root_to_weight(rng.choice(allowed), n)):
+                mu[k] += x
+        if min(mu) >= 0:
+            mu[rng.randrange(n)] = -rng.randint(1, 3)
+        count = count_partitions(mu, allowed)
+        assert count == len(enumerate_partitions(mu, allowed)), (mu, allowed)
+        nonzero += count > 0
+    assert nonzero > 30
+
+
 def test_a7_staircase_count():
     assert count_partitions((7, 6, 5, 4, 3, 2, 1, -28),
                             positive_roots("A", 7)) == 78608134640816
@@ -193,6 +250,35 @@ class TestCapacityRestricted:
         lam = [eminus(1, 2), eminus(1, 3)]
         assert count_capacity_restricted(target, lam, (2, 0, -1), 2) == 1
         assert count_capacity_restricted(target, lam, (2, 0, -1), 1) == 0
+
+    def test_matches_filtered_enumeration(self):
+        # the hand-capacity inequality applied to every listed partition,
+        # with magic (negative) initial entries and initials of any length
+        rng = random.Random(4242)
+        nonzero = restricted = 0
+        for _ in range(400):
+            rank = rng.randint(1, 5)
+            n = rank + 1
+            allowed = [r for r in positive_roots("A", rank) if rng.random() < 0.75]
+            mu = [0] * n
+            for _ in range(rng.randint(0, 6) if allowed else 0):
+                for k, x in enumerate(root_to_weight(rng.choice(allowed), n)):
+                    mu[k] += x
+            initial = tuple(rng.randint(-2, 3) for _ in range(rng.randint(0, n + 1)))
+            capacity = rng.randint(1, 4)
+            start = [initial[k] if k < len(initial) else 0 for k in range(n)]
+            parts = enumerate_partitions(mu, allowed)
+            kept = 0
+            for partition in parts:
+                landed = list(start)
+                for root, mult in partition:
+                    landed[root.j - 1] += mult
+                kept += max(landed) <= capacity
+            count = count_capacity_restricted(mu, allowed, initial, capacity)
+            assert count == kept, (mu, allowed, initial, capacity)
+            nonzero += kept > 0
+            restricted += kept != len(parts)
+        assert nonzero > 100 and restricted > 100
 
     def test_rejects_non_minus_roots(self):
         with pytest.raises(DomainError):
