@@ -109,11 +109,14 @@ def criterion_capacity_correspondence():
     counts, over every small (a, b, n, m)."""
     states = _small_states(3, 3)
     checked = 0
+    lams: dict = {}  # the roots depend only on n and the ambient dimension
     for a in states:
         for b in states:
             for n in range(1, 5):
                 target = net_change_target(a, b, n)
-                lam = time_bounded_roots(n, len(target))
+                if (n, len(target)) not in lams:
+                    lams[n, len(target)] = time_bounded_roots(n, len(target))
+                lam = lams[n, len(target)]
                 for m in (1, 2, 3):
                     js = count_sequences(a, b, n, m)
                     q = count_capacity_restricted(target, lam, a, m)

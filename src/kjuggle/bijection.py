@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .juggling import (ALL_THROWS, JugglingSequence, Throw, ThrowSet,
+from .juggling import (ALL_THROWS, JugglingSequence, Throw, ThrowSet, _apply_throws,
                        count_sequences, enumerate_sequences, normalize_state)
 from .kostant import (Partition, canonical_roots, count_capacity_restricted,
                       count_partitions, enumerate_partitions, make_partition,
@@ -77,16 +77,11 @@ def gamma(partition: Partition, a, n: int) -> JugglingSequence:
     for time in range(1, n + 1):
         state = states[-1]
         hand = state[0] if state else 0
-        heights = sorted(by_time.get(time, []))
+        heights = by_time.get(time, ())
         if len(heights) != hand:
             raise DomainError(
                 f"partition throws {len(heights)} balls at time {time}, state has {hand}")
-        new = list(state[1:])
-        for h in heights:
-            while len(new) < h:
-                new.append(0)
-            new[h - 1] += 1
-        states.append(normalize_state(new))
+        states.append(_apply_throws(state, heights))
     return JugglingSequence(tuple(states), tuple(sorted(throws)))
 
 

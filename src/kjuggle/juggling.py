@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import lshift
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -165,6 +166,14 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     exact and independent of dictionary order.  Keys with no ball left leave
     the sweep at once and are checked into the next layer.  Ball conservation
     makes mismatched totals count zero.
+
+    A state is one int: height k+1 holds its entry plus half - 1 in the
+    bits-wide field at bit bits * k, for k < max(bound, 1), where half =
+    2^(bits-1) > S + capacity and S = max(sum(abs(a)), sum(abs(b))).  Magic
+    balls are never created and positive entries never exceed the balls of a,
+    so every entry of a reached state, and of b, stays in [-S, S]: no field
+    borrows from its neighbour, even with capacity subtracted from each, and a
+    field's top bit is set iff its height holds a positive ball.
     """
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
@@ -180,15 +189,25 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
         return 0
     bound = _landing_bound(a, b, n)
 
-    layer = {a: 1}
+    span = max(sum(map(abs, a)), sum(map(abs, b))) + (capacity or 0)
+    bits = span.bit_length() + 1
+    mask = (1 << bits) - 1
+    zero = mask >> 1  # the field of an empty height: half - 1
+    size = max(bound, 1)
+    unit = ((1 << bits * size) - 1) // mask  # a one in every field
+    shifts = range(0, bits * size, bits)
+    empty, tops = zero * unit, (zero + 1) * unit
+    over = capacity * unit if capacity is not None else None
+    refill = zero << bits * (size - 1)
+    layer = {empty + sum(map(lshift, a, shifts)): 1}
     for time in range(1, n + 1):
         done: dict = {}  # bucket 0: dropped states with every ball thrown
         levels: dict = {}  # balls left in hand -> {dropped state: ways}
-        for state, ways in layer.items():
-            hand = state[0] if state else 0
+        for w, ways in layer.items():
+            hand = (w & mask) - zero
             if hand >= 0:
                 bucket = levels.setdefault(hand, {}) if hand else done
-                s = state[1:]
+                s = (w >> bits) | refill
                 bucket[s] = bucket.get(s, 0) + ways
         for j in range(1, bound - time + 1):
             if not levels:
@@ -198,33 +217,28 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
             # A positive entry at height j is final after this height; past
             # the deadline it could never land, so only magic may stay there.
             top = capacity if time + j <= deadline else 0
+            one = 1 << bits * (j - 1)
+            sel = mask * one
+            stop = (top + zero) * one if top is not None else sel + 1
             swept: dict = {}
             above: dict = {}
             for left in range(max(levels), -1, -1):
                 cur = levels.get(left, {}) if left else done
                 for s, ways in above.items():
-                    if len(s) < j:
-                        s += (0,) * (j - len(s))
-                    base = s[j - 1]
-                    if top is not None and base >= top:
-                        continue
-                    s = s[:j - 1] + (base + 1,) + s[j:]
-                    cur[s] = cur.get(s, 0) + ways
+                    if s & sel < stop:
+                        s += one
+                        cur[s] = cur.get(s, 0) + ways
                 if left and cur:
                     swept[left] = cur
                 above = cur
             levels = swept
-        layer = {}
-        for state, ways in done.items():
-            if state and not state[-1]:  # magic cancelled at the last height
-                state = normalize_state(state)
-            if state and capacity is not None and max(state) > capacity:
-                continue
-            if max(state[deadline - time:], default=0) <= 0:
-                layer[state] = layer.get(state, 0) + ways
+        # late: top bits of the heights that land past the deadline
+        late = tops >> bits * (deadline - time) << bits * (deadline - time)
+        layer = {w: ways for w, ways in done.items()
+                 if not w & late and (over is None or not (w - over) & tops)}
         if not layer:
             break
-    return layer.get(b, 0)
+    return layer.get(empty + sum(map(lshift, b, shifts)), 0)
 
 
 def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS):

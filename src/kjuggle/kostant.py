@@ -26,7 +26,8 @@ Partition = tuple  # tuple[tuple[Root, int], ...]
 
 def canonical_roots(roots) -> tuple[Root, ...]:
     """Deduplicate and sort a root collection into canonical order."""
-    return tuple(sorted(set(roots), key=Root.sort_key))
+    unique = {root.key: root for root in roots}
+    return tuple([unique[key] for key in sorted(unique)])
 
 
 def partition_weight(partition: Partition, ambient: int) -> tuple[int, ...]:
@@ -50,7 +51,7 @@ def make_partition(parts) -> Partition:
     counts: dict[Root, int] = {}
     for root in parts:
         counts[root] = counts.get(root, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda it: it[0].sort_key()))
+    return tuple(sorted(counts.items(), key=lambda it: it[0].key))
 
 
 def _max_mult(root: Root, w) -> int:

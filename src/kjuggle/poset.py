@@ -106,17 +106,12 @@ def mobius_from_bottom(poset: JugglingPoset) -> list[int]:
     below = _strictly_below(poset)
     n = len(poset)
     mobius = [0] * n
+    having: dict[int, int] = {}  # Mobius value -> bitmask of the elements with it
     for x in sorted(range(n), key=lambda k: poset.ranks[k]):
-        if below[x] == 0:
-            mobius[x] = 1
-            continue
-        total = 0
         mask = below[x]
-        while mask:  # set bits only: the cost is the number of comparable pairs
-            low = mask & -mask
-            total += mobius[low.bit_length() - 1]
-            mask ^= low
-        mobius[x] = -total
+        value = -sum(v * (mask & m).bit_count() for v, m in having.items()) if mask else 1
+        mobius[x] = value
+        having[value] = having.get(value, 0) | 1 << x
     return mobius
 
 

@@ -8,7 +8,7 @@ root is one of four shapes: e_i - e_j, e_i + e_j, e_i, or 2e_i.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -24,13 +24,14 @@ LIE_TYPES = ("A", "B", "C", "D")
 MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     """A positive root; for SINGLE and DOUBLE kinds the second index is 0."""
 
     kind: str
     i: int
     j: int = 0
+    key: tuple = field(init=False, repr=False, compare=False)  # the canonical sort key
 
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
@@ -42,12 +43,13 @@ class Root:
                 raise DomainError(f"root indices must satisfy i < j, got ({self.i}, {self.j})")
         elif self.j != 0:
             raise DomainError(f"{self.kind} roots take a single index")
+        object.__setattr__(self, "key", (_KIND_ORDER[self.kind], self.i, self.j))
 
     def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.i, self.j)
+        return self.key
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self.key < other.key
 
     def __str__(self):
         if self.kind == MINUS:

@@ -169,6 +169,53 @@ class TestCountAgainstEnumeration:
             enumerate_sequences((3, 0, 0, -2), (1,), 1)) == 1
 
 
+class TestPackedFieldEdges:
+    """count_sequences packs a state into fields sized by sum(abs(a)),
+    sum(abs(b)) and the capacity; these instances sit at the edges of that
+    width and at the ends of the layer, where a dropped height is refilled."""
+
+    @pytest.mark.parametrize("b", [(40,), (20, 20), (0, 40)])
+    @pytest.mark.parametrize("capacity", [None, 87])  # 40 + 87 = 2^7 - 1
+    def test_forty_balls_in_one_field(self, b, capacity):
+        count = count_sequences((40,), b, 2, capacity)
+        assert count == len(enumerate_sequences((40,), b, 2, capacity)) > 0
+
+    def test_heavy_magic_with_capacity_just_under_the_field(self):
+        rng = random.Random(7321)
+        nonzero = 0
+        for _ in range(200):
+            a = rng.choice(((3, -3, 2, -2), (2, -3, 3, -2), (1, 3, -3, 2, -2)))
+            b = tuple(rng.randint(-1, 1) for _ in range(rng.randint(0, 3)))
+            b += (sum(a) - sum(b),)
+            span = max(sum(map(abs, a)), sum(map(abs, b)))
+            tight = (1 << span.bit_length() + 1) - 1 - span  # half = span + tight + 1
+            capacity = rng.choice((None, 2, tight))
+            n = rng.randint(1, 5)
+            count = count_sequences(a, b, n, capacity)
+            assert count == len(enumerate_sequences(a, b, n, capacity)), (a, b, n, capacity)
+            nonzero += count > 0
+        assert nonzero >= 15
+
+    @pytest.mark.parametrize("capacity", [None, 1, 3])
+    def test_empty_state(self, capacity):
+        for n in (0, 1, 3):
+            assert count_sequences((), (), n, capacity) == 1
+            assert len(enumerate_sequences((), (), n, capacity)) == 1
+
+    @pytest.mark.parametrize("a,b,n", [((1,), (0, 1), 12), ((2,), (1, 1), 7),
+                                       ((1, 1, 0, -1), (1,), 9), ((2, 0, -1), (0, 1), 10)])
+    def test_length_far_past_the_states(self, a, b, n):
+        for capacity in (None, 1, 2):
+            count = count_sequences(a, b, n, capacity)
+            assert count == len(enumerate_sequences(a, b, n, capacity)), capacity
+
+    def test_terminal_state_outside_the_reachable_range(self):
+        # Entries of b past sum(abs(a)) are unreachable; packed with a's width
+        # alone, (5, -5, 1) would equal the reachable (1,).
+        assert count_sequences((1,), (5, -5, 1), 1) == 0
+        assert count_sequences((1,), (1,), 1) == 1
+
+
 def test_capacity_count_matches_restricted_partitions_past_the_grid():
     """Ranks 4-5 and capacities 2-4, beyond the acceptance grid's sizes."""
     rng = random.Random(5407)

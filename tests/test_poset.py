@@ -102,9 +102,11 @@ def test_mobius_matches_brute_force():
     cases = [(bits, (sum(bits),), len(bits), None)
              for length in range(1, 6) for bits in product((0, 1), repeat=length)]
     cases += [((1,), (1,), n, 1) for n in range(1, 8)]
+    cases += [((1, 1, 0, 1, 0, 0), (3,), 6, None)]  # 860 elements, 14 distinct values
     for a, b, n, capacity in cases:
         poset = build_poset(a, b, n, capacity)
         assert mobius_from_bottom(poset) == _brute_force_mobius(poset), (a, n)
+    assert len(set(mobius_from_bottom(poset))) == 14
 
 
 def test_single_ball_length_twelve():
