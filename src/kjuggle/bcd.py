@@ -164,7 +164,11 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     The leaves go into one {residual: configurations} mapping, counted in a
     single count_weighted call (exact: the count is linear in the mapping).
     Each root's multiplicity is bounded so that no prefix sum of the
-    residual goes negative.
+    residual goes negative.  When every walked root has a positive
+    coordinate sum (the non-e_i - e_j roots of schmidt_bincer_count), a node
+    whose residual sums to zero is a leaf at once, with no frame per
+    remaining root; the e_i - e_j roots of the literal reading sum to zero,
+    so there the walk runs to the last root.
     """
     if lie_type not in ("B", "C", "D"):
         raise DomainError("the reduction applies to types B, C, D")
@@ -180,10 +184,11 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     # nonnegative and are carried down the walk by subtraction.
     gpres = [_prefix_sums(g) for g in weights]
     steps = [[(k, g) for k, g in enumerate(gpre) if g > 0] for gpre in gpres]
+    settled = all(gpre[-1] > 0 for gpre in gpres)
     leaves: dict = {}
 
     def rec(idx, w, pre):
-        if idx == len(weights):
+        if idx == len(weights) or (settled and pre[-1] == 0):
             if pre[-1] == 0:
                 leaves[w] = leaves.get(w, 0) + 1
             return

@@ -3,6 +3,9 @@
 A state is an integer tuple whose k-th entry is the net number of balls at
 height k+1; negative entries are magic balls.  States are normalized by
 stripping trailing zeros, so the empty tuple is the state with no balls.
+Counting is a layer DP on packed states; enumeration walks the per-state
+`successors` on tuples through a per-call memo of live steps, so the two
+compare different transition codes.
 """
 
 from __future__ import annotations
@@ -242,7 +245,13 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
 
 
 def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS):
-    """All length-n juggling sequences from a to b, deterministically ordered."""
+    """All length-n juggling sequences from a to b, deterministically ordered.
+
+    A per-call memo maps (time, state) to its live steps, so no state is
+    expanded twice and no branch that dies is entered.  Throws are emitted by
+    time, then in ascending combo order, so each throw tuple is sorted as
+    built.
+    """
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
     a, b = normalize_state(a), normalize_state(b)
@@ -253,27 +262,40 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
     deadline = n + len(b)
     if _dead(a, 0, deadline):
         return []
+    if n == 0:
+        return [JugglingSequence((a,), ())] if a == b else []
     bound = _landing_bound(a, b, n)
+    memo: dict = {}
     found = []
-    states = [a]
-    throws: list[Throw] = []
 
-    def rec(time):
-        if time > n:
-            if states[-1] == b:
-                found.append(JugglingSequence(tuple(states), tuple(sorted(throws))))
-            return
-        for new, combo in successors(states[-1], time, capacity, allowed, bound):
-            if _dead(new, time, deadline):
-                continue
-            states.append(new)
-            throws.extend(Throw(time, h) for h in combo)
-            rec(time + 1)
-            for _ in combo:
-                throws.pop()
-            states.pop()
+    def live(time, state) -> list:
+        """The live steps from state at time: (new state, its throws, the live
+        steps from it at time + 1, or None at time n), for each successor that
+        can still reach b at time n, in successor order."""
+        key = (time, state)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = []
+        for new, combo in successors(state, time, capacity, allowed, bound):
+            if time == n:
+                if new == b:
+                    out.append((new, tuple(Throw(time, h) for h in combo), None))
+            elif not _dead(new, time, deadline):
+                below = live(time + 1, new)
+                if below:
+                    out.append((new, tuple(Throw(time, h) for h in combo), below))
+        memo[key] = out
+        return out
 
-    rec(1)
+    def rec(steps, states, throws):
+        for new, step, below in steps:
+            if below is None:
+                found.append(JugglingSequence(states + (new,), throws + step))
+            else:
+                rec(below, states + (new,), throws + step)
+
+    rec(live(1, a), (a,), ())
     return found
 
 

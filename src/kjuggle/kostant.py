@@ -4,9 +4,11 @@ A partition is stored as a canonically sorted tuple of (root, multiplicity)
 pairs.  Both engines take the allowed roots in canonical order and bound each
 multiplicity by the coordinates the remaining roots can no longer raise, so
 multisets are produced exactly once.  Enumeration is liveness-guided: a
-per-call memo keeps each node's children that can still reach zero, and the
-walk descends only into those, in an order that emits partitions canonically
-with no sort.  Counting runs forward over a layer of {residual weight: ways},
+per-call memo keeps, for each (root index, residual) node, its live entries,
+one per positive part that can still reach zero, with the entries of the
+part's own remainder below it; skipped roots are spliced out, so the walk
+spends one frame per positive part and emits partitions canonically with no
+sort.  Counting runs forward over a layer of {residual weight: ways},
 one (kind, i) group of roots at a time, so equal residuals merge; there each
 residual is packed into one int of fixed-width biased coordinate fields, so
 a copy of a root is one subtraction and each prune one mask test.  The
@@ -199,22 +201,25 @@ def count_partitions(target, allowed) -> int:
 
 
 def enumerate_partitions(target, allowed) -> list[Partition]:
-    """All partitions of the target into allowed roots, canonically ordered."""
+    """All partitions of the target into allowed roots, canonically ordered;
+    each memo node is expanded once, and the walk follows live entries only."""
     target = tuple(target)
     roots = canonical_roots(allowed)
     _check_ambient(target, roots)
+    if not any(target):
+        return [()]
     n = len(roots)
     first_mixed = next((k for k, r in enumerate(roots) if r.kind != MINUS), n)
     memo: dict = {}
     found: list[Partition] = []
-    chosen: list[tuple[Root, int]] = []
 
-    def live_children(idx, w) -> list:
-        """The (mult, residual) children of node (idx, w) from which the later
-        roots can still reach zero, mult 1..bound then 0; empty if it is dead.
-        Every tuple below a mult-0 child continues with a later root, so this
-        order emits partitions canonically (no tuple ends at mult 0, as
-        positive roots never sum to zero)."""
+    def live(idx, w) -> list:
+        """The live entries of the nonzero residual w from root idx on: one
+        ((root, mult), below) per positive part that can still lead to zero,
+        below being the live entries of what remains after it (from the next
+        root on), or None when nothing remains; empty if w is dead.  A root's
+        own parts come first, mult ascending, then the entries of skipping it
+        (the mult-0 child spliced in place), which is canonical order."""
         key = (idx, w)
         out = memo.get(key)
         if out is not None:
@@ -225,27 +230,26 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
             dead = (min(w) < 0 if idx >= first_mixed else
                     w[root.i - 1] < 0 or (first_mixed == n and any(w[:root.i - 1])))
             if not dead:
-                for mult in (*range(1, _max_mult(root, w) + 1), 0):
-                    child = _subtract(w, root, mult) if mult else w
-                    if not any(child) or live_children(idx + 1, child):
-                        out.append((mult, child))
+                for mult in range(1, _max_mult(root, w) + 1):
+                    child = _subtract(w, root, mult)
+                    if not any(child):
+                        out.append(((root, mult), None))
+                    else:
+                        below = live(idx + 1, child)
+                        if below:
+                            out.append(((root, mult), below))
+                out += live(idx + 1, w)
         memo[key] = out
         return out
 
-    def rec(idx, w):
-        if not any(w):
-            found.append(tuple(chosen))
-            return
-        root = roots[idx]
-        for mult, child in memo[idx, w]:
-            if mult:
-                chosen.append((root, mult))
-            rec(idx + 1, child)
-            if mult:
-                chosen.pop()
+    def rec(entries, chosen):
+        for part, below in entries:
+            if below is None:
+                found.append(chosen + (part,))
+            else:
+                rec(below, chosen + (part,))
 
-    if not any(target) or live_children(0, target):
-        rec(0, target)
+    rec(live(0, target), ())
     return found
 
 

@@ -11,6 +11,7 @@ q - 1 on binary start states.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from math import comb
 
@@ -44,7 +45,9 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
 
     Covers are found in throw space: throws (t, h1) and (t + h1, h2) merge
     into (t, h1 + h2), the image under gamma_inverse of fusing
-    e_t - e_{t+h1} and e_{t+h1} - e_{t+h1+h2}.
+    e_t - e_{t+h1} and e_{t+h1} - e_{t+h1+h2}.  Each sequence's distinct
+    throws are indexed by start time, so only such chained pairs are tried,
+    and the merged throw is inserted in place into the sorted throw tuple.
     """
     seqs = enumerate_sequences(a, b, n, capacity)
     if not seqs:
@@ -55,16 +58,17 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
     ranks = tuple(len(s.throws) - min_throws for s in seqs)
     covers = set()
     for k, seq in enumerate(seqs):
-        distinct = set(seq.throws)
+        distinct = dict.fromkeys(seq.throws)
+        starting: dict = {}  # time -> the distinct throws made then
+        for throw in distinct:
+            starting.setdefault(throw.time, []).append(throw)
         for first in distinct:
-            for second in distinct:
-                if first.time + first.height != second.time:
-                    continue
+            for second in starting.get(first.time + first.height, ()):
                 merged = list(seq.throws)
                 merged.remove(first)
                 merged.remove(second)
-                merged.append(Throw(first.time, first.height + second.height))
-                other = index.get(tuple(sorted(merged)))
+                insort(merged, Throw(first.time, first.height + second.height))
+                other = index.get(tuple(merged))
                 if other is None:
                     raise InvariantViolation(
                         f"{instance}: merge of {root_of_throw(first)} and "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -113,10 +114,13 @@ def ambient_dim(lie_type: str, rank: int) -> int:
     return rank + 1 if lie_type == "A" else rank
 
 
+@lru_cache(maxsize=None, typed=True)
 def positive_roots(lie_type: str, rank: int) -> tuple[Root, ...]:
     """All positive roots of the type, in canonical order.
 
-    Sizes: r(r+1)/2 for A_r, r^2 for B_r and C_r, r(r-1) for D_r.
+    Sizes: r(r+1)/2 for A_r, r^2 for B_r and C_r, r(r-1) for D_r.  The
+    tuple of frozen roots is built once per (type, rank) and shared; a bad
+    type or rank raises each time, as exceptions are not cached.
     """
     check_type_rank(lie_type, rank)
     n = ambient_dim(lie_type, rank)

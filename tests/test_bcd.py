@@ -127,6 +127,26 @@ def test_literal_reduction_collapses_on_nonzero_sum():
     assert schmidt_bincer_literal("C", 3, highest_root("C", 3)) == 0
 
 
+# Zero-sum weights, where the literal walk's e_i - e_j roots keep every
+# residual at sum zero: a shortcut that ended the walk at a zero-sum residual
+# would report the plain e_i - e_j count instead of these overcounts.
+LITERAL_ZERO_SUM = {
+    2: {(1, -1): 2, (2, -2): 3, (3, -3): 4},
+    3: {(1, 0, -1): 6, (1, 1, -2): 10, (2, -1, -1): 10, (2, 0, -2): 20},
+    4: {(1, 0, 0, -1): 18, (1, 1, -1, -1): 36, (2, 0, -1, -1): 72, (1, -1, 1, -1): 4},
+    5: {(1, 0, 0, 0, -1): 54, (1, 1, 0, -1, -1): 264, (2, 0, 0, -1, -1): 528,
+        (2, 1, 0, -1, -2): 4266},
+}
+
+
+@pytest.mark.parametrize("lie_type", "BCD")
+def test_literal_reduction_on_zero_sum_weights(lie_type):
+    for rank in range({"B": 2, "C": 3, "D": 4}[lie_type], 6):
+        assert schmidt_bincer_literal(lie_type, rank, (0,) * rank) == 1
+        for mu, value in LITERAL_ZERO_SUM[rank].items():
+            assert schmidt_bincer_literal(lie_type, rank, mu) == value, (lie_type, mu)
+
+
 class TestHighestRootMaps:
     def test_b_case1_reference(self):
         image = b_to_a_map(make_partition([eplus(1, 2)]), 2)

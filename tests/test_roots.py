@@ -35,6 +35,16 @@ def test_canonical_order_is_strict():
         assert len(set(keys)) == len(keys)
 
 
+def test_positive_roots_are_built_once_per_type_and_rank():
+    assert positive_roots("C", 5) is positive_roots("C", 5)
+    assert positive_roots("C", 5) is not positive_roots("C", 6)
+    for _ in range(2):  # an error is raised each time, never cached
+        with pytest.raises(DomainError):
+            positive_roots("D", 3)
+        with pytest.raises(DomainError):
+            positive_roots("E", 6)
+
+
 def test_rank_minimums_enforced():
     for lie_type, bad in (("A", 0), ("B", 1), ("C", 2), ("D", 3)):
         with pytest.raises(DomainError):
