@@ -159,24 +159,30 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     counts.  Each time step is factored across the whole layer rather than
     expanded state by state: the states are merged into dropped states
     bucketed by the balls still in hand, then the allowed heights are visited
-    one at a time.  At each height the buckets are swept from the most balls
-    left down to none, each bucket first receiving every key of the bucket
-    above with exactly one more ball at that height; a key stops its chain
-    once that height is full (the capacity, or zero for a positive ball past
-    the deadline).  A key with l balls left thus reaches bucket l - k with k
-    more balls at the height for every feasible k exactly once, so every
-    multiset of throw heights is produced exactly once, and the sums are
-    exact and independent of dictionary order.  Keys with no ball left leave
-    the sweep at once and are checked into the next layer.  Ball conservation
-    makes mismatched totals count zero.
+    one at a time.  At each height but the last the buckets are swept from
+    the most balls left down to none, each bucket first receiving every key
+    of the bucket above with exactly one more ball at that height; a key
+    stops its chain once that height is full (the capacity, or zero for a
+    positive ball past the deadline), and a height with neither runs no
+    test.  A key with l balls left thus reaches bucket l - k with k more
+    balls at the height for every feasible k exactly once, so every multiset
+    of throw heights is produced exactly once, and the sums are exact and
+    independent of dictionary order.  At the last allowed height every ball
+    still in hand lands in one addition, kept only if the height stays
+    within its top, so no key keeps a ball past it.  Keys with no ball left
+    leave the sweep at once and are checked into the next layer.  Ball
+    conservation makes mismatched totals count zero, and an empty a (no
+    magic balls are ever created) reaches only an empty b.
 
     A state is one int: height k+1 holds its entry plus half - 1 in the
-    bits-wide field at bit bits * k, for k < max(bound, 1), where half =
-    2^(bits-1) > S + capacity and S = max(sum(abs(a)), sum(abs(b))).  Magic
-    balls are never created and positive entries never exceed the balls of a,
-    so every entry of a reached state, and of b, stays in [-S, S]: no field
-    borrows from its neighbour, even with capacity subtracted from each, and a
-    field's top bit is set iff its height holds a positive ball.
+    bits-wide field at bit bits * k, for k < bound, where half =
+    2^(bits-1) > S = max(sum(abs(a)), sum(abs(b))).  Magic balls are never
+    created and positive entries never exceed the balls of a, so every entry
+    of a reached state, and of b, stays in [-S, S]: no field borrows from its
+    neighbour.  A height's top is compared with its whole field, so it may
+    exceed the field.  The tops are the only filter: a's entries are checked
+    against the capacity and the deadline before the first step, and every
+    throw lands within its height's top.
     """
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
@@ -185,6 +191,8 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
         raise DomainError("capacity must be a positive integer")
     if state_total(a) != state_total(b):
         return 0
+    if not a:  # magic balls are never created
+        return int(not b)
     if capacity is not None and any(x > capacity for x in a):
         return 0
     deadline = n + len(b)
@@ -192,53 +200,62 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
         return 0
     bound = _landing_bound(a, b, n)
 
-    span = max(sum(map(abs, a)), sum(map(abs, b))) + (capacity or 0)
+    span = max(sum(map(abs, a)), sum(map(abs, b)))
     bits = span.bit_length() + 1
     mask = (1 << bits) - 1
     zero = mask >> 1  # the field of an empty height: half - 1
-    size = max(bound, 1)
-    unit = ((1 << bits * size) - 1) // mask  # a one in every field
-    shifts = range(0, bits * size, bits)
-    empty, tops = zero * unit, (zero + 1) * unit
-    over = capacity * unit if capacity is not None else None
-    refill = zero << bits * (size - 1)
+    unit = ((1 << bits * bound) - 1) // mask  # a one in every field
+    shifts = range(0, bits * bound, bits)
+    empty = zero * unit
+    refill = zero << bits * (bound - 1)
     layer = {empty + sum(map(lshift, a, shifts)): 1}
     for time in range(1, n + 1):
         done: dict = {}  # bucket 0: dropped states with every ball thrown
         levels: dict = {}  # balls left in hand -> {dropped state: ways}
-        for w, ways in layer.items():
+        for w, ways in layer.items():  # the drop is one-to-one per hand
             hand = (w & mask) - zero
             if hand >= 0:
-                bucket = levels.setdefault(hand, {}) if hand else done
-                s = (w >> bits) | refill
-                bucket[s] = bucket.get(s, 0) + ways
-        for j in range(1, bound - time + 1):
-            if not levels:
-                break
-            if not allowed.allows(time, j):
-                continue
+                (levels.setdefault(hand, {}) if hand else done)[(w >> bits) | refill] = ways
+        heights = [j for j in range(1, bound - time + 1) if allowed.allows(time, j)] if levels else []
+        for j in heights:
             # A positive entry at height j is final after this height; past
             # the deadline it could never land, so only magic may stay there.
             top = capacity if time + j <= deadline else 0
             one = 1 << bits * (j - 1)
             sel = mask * one
-            stop = (top + zero) * one if top is not None else sel + 1
+            stop = (top + zero) * one if top is not None else None
+            if j == heights[-1]:  # every ball still in hand lands here
+                for left, cur in levels.items():
+                    add = left * one
+                    if stop is None:
+                        for s, ways in cur.items():
+                            s += add
+                            done[s] = done.get(s, 0) + ways
+                    else:
+                        lim = stop - add  # the height holds at most top
+                        for s, ways in cur.items():
+                            if s & sel <= lim:
+                                s += add
+                                done[s] = done.get(s, 0) + ways
+                break
             swept: dict = {}
             above: dict = {}
             for left in range(max(levels), -1, -1):
                 cur = levels.get(left, {}) if left else done
-                for s, ways in above.items():
-                    if s & sel < stop:
+                if stop is None:
+                    for s, ways in above.items():
                         s += one
                         cur[s] = cur.get(s, 0) + ways
+                else:
+                    for s, ways in above.items():
+                        if s & sel < stop:
+                            s += one
+                            cur[s] = cur.get(s, 0) + ways
                 if left and cur:
                     swept[left] = cur
                 above = cur
             levels = swept
-        # late: top bits of the heights that land past the deadline
-        late = tops >> bits * (deadline - time) << bits * (deadline - time)
-        layer = {w: ways for w, ways in done.items()
-                 if not w & late and (over is None or not (w - over) & tops)}
+        layer = done
         if not layer:
             break
     return layer.get(empty + sum(map(lshift, b, shifts)), 0)

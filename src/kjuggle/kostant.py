@@ -10,14 +10,17 @@ part's own remainder below it; skipped roots are spliced out, so the walk
 spends one frame per positive part and emits partitions canonically with no
 sort.  Counting runs forward over a layer of {residual weight: ways},
 one (kind, i) group of roots at a time, so equal residuals merge; there each
-residual is packed into one int of fixed-width biased coordinate fields, so
-a copy of a root is one subtraction and each prune one mask test.  The
-capacity-restricted count is the same sweep with a ceiling per coordinate.
+residual is packed into one int of fixed-width biased fields, so a copy of a
+root is one subtraction and each prune one mask test.  For e_i - e_j roots
+alone the fields hold prefix sums, so a residual with a negative one is
+dropped as dead, and a group's last root sends every copy left in one move.
+The capacity-restricted count is the same sweep with a cap on each
+coordinate, checked when the sweep reaches it.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import attrgetter
 
 from .errors import DomainError
@@ -98,73 +101,93 @@ def _check_ambient(target, roots):
 def _sweep(targets, roots, ceiling=None) -> int:
     """The layer DP of count_weighted over a {weight: ways} mapping and
     canonical roots that fit every target, on packed residuals; `ceiling`,
-    if given, caps each coordinate j that an e_i - e_j copy raises."""
+    if given (e_i - e_j roots only), caps w[i] as a level at group i's entry
+    (a coordinate with no group of its own is the caller's to check)."""
     span = max((sum(map(abs, w)) for w in targets), default=0)
     half = 1 << span.bit_length()
     bits = span.bit_length() + 1
     mask = (half << 1) - 1
     bias = sum(half << bits * k for k in range(max(map(len, targets), default=0)))
+    pure = not roots or roots[-1].kind == MINUS  # canonical order: e_i - e_j first
     layer: dict = {}
     for target, ways in targets.items():
+        if pure:
+            target = tuple(accumulate(target))
+            if target and target[-1]:  # a nonzero total has no partition
+                continue
         w = bias + sum(x << bits * k for k, x in enumerate(target))
         layer[w] = layer.get(w, 0) + ways
-    pure = not roots or roots[-1].kind == MINUS  # canonical order: e_i - e_j first
     for (kind, i), group in groupby(roots, key=attrgetter("kind", "i")):
         if not layer:
             return 0
         shift = bits * (i - 1)
-        top = half << shift
-        low = (1 << shift) - 1
         need = 2 if kind == DOUBLE else 1
+        cap = ceiling[i - 1] if ceiling is not None else span  # no level passes span
+        # Prunes, w & keep != want: a pure set never changes the prefix sums
+        # below i again, and none may be negative; in a mixed set nothing
+        # raises coordinate i from its e_i - e_j group on, nor any
+        # coordinate past the e_i - e_j roots.
+        if pure:
+            keep, want = bias | ((1 << shift) - 1), bias
+        elif kind == MINUS:
+            keep = want = half << shift
+        else:
+            keep = want = bias
         out: dict = {}
         levels: dict = {}
-        # Prunes: past the e_i - e_j roots no root raises a coordinate; from
-        # an e_i - e_j group on, nothing raises coordinate i, and a pure
-        # e_i - e_j set never touches the coordinates below i again.
         for w, ways in layer.items():
-            if kind != MINUS:
-                if w & bias != bias:
-                    continue
-            elif not w & top or (pure and w & low != bias & low):
+            if w & keep != want:
                 continue
             c = (((w >> shift) & mask) - half) // need
+            if c > cap:
+                continue
             if c:
                 levels.setdefault(c, {})[w] = ways
             else:
                 out[w] = ways
-        most = max(levels, default=0)  # each sweep keeps a bucket per level 1..most
-        for root in group if most else ():  # most == 0: no weight pays for a copy
-            # A copy is sent from w while lo <= w & sel < hi: always, but for
-            # e_i + e_j only while w[j] > 0 (coordinates are nonnegative in a
-            # mixed group) and under a ceiling only while w[j] < ceiling[j].
-            sel, lo, hi = 0, 0, 1
-            delta = 1 << shift
-            if kind == MINUS:
+        # One copy of each root is delta; an e_i + e_j copy is sent only
+        # while w[j] > 0, that is while w & sel >= lo (sel = 0: always).
+        steps = []
+        for root in group if levels else ():
+            sel = lo = 0
+            if kind == SINGLE or kind == DOUBLE:
+                delta = need << shift
+            elif pure:  # prefix sums i..j-1 each lose one
+                delta = ((1 << bits * (root.j - 1)) - (1 << shift)) // mask
+            elif kind == MINUS:
+                delta = (1 << shift) - (1 << bits * (root.j - 1))
+            else:
                 j = bits * (root.j - 1)
-                delta -= 1 << j
-                if ceiling is not None:
-                    sel, hi = mask << j, (ceiling[root.j - 1] + half) << j
-            elif kind == PLUS:
-                j = bits * (root.j - 1)
-                delta += 1 << j
-                sel = mask << j
-                lo, hi = (half + 1) << j, sel + 1
-            elif kind == DOUBLE:
-                delta <<= 1
+                delta, sel, lo = (1 << shift) + (1 << j), mask << j, (half + 1) << j
+            steps.append((delta, sel, lo))
+        last = steps.pop()[0] if pure and steps else None
+        for delta, sel, lo in steps:
             nxt: dict = {}
             above: dict = {}
-            for c in range(most, -1, -1):
+            for c in range(max(levels), -1, -1):
                 cur = levels.get(c, {}) if c else out
-                for w, ways in above.items():
-                    if lo <= w & sel < hi:
+                if sel:
+                    for w, ways in above.items():
+                        if w & sel >= lo:
+                            r = w - delta
+                            cur[r] = cur.get(r, 0) + ways
+                else:
+                    for w, ways in above.items():
                         r = w - delta
                         cur[r] = cur.get(r, 0) + ways
                 if c:
                     nxt[c] = cur
                 above = cur
             levels = nxt
-        for cur in levels.values():  # keys disjoint from out's: w[i] >= need
-            out.update(cur)
+        if last is not None:  # nothing after a pure group touches coordinate i
+            for c, cur in levels.items():
+                drop = c * last
+                for w, ways in cur.items():
+                    r = w - drop
+                    out[r] = out.get(r, 0) + ways
+        else:
+            for cur in levels.values():  # keys disjoint from out's: w[i] >= need
+                out.update(cur)
         layer = out
     return layer.get(bias, 0)
 
@@ -179,12 +202,23 @@ def count_weighted(targets, allowed) -> int:
     each receiving the one above minus one copy, which sends 0..max copies
     in one step per distinct residual.
 
-    A residual is one int: coordinate k (zero past a target's length) plus
-    half = 2^(bits-1) in the bits-wide field at bit bits * k.  Coordinates
-    stay in [-P, P], P the largest sum(abs(target)), as an e_i - e_j copy is
-    sent only while w[i] > 0 and any other only lowers nonnegative ones; so
-    with half > P no field borrows from its neighbour, a copy is one
-    subtraction, and a field's top bit is set iff its coordinate is >= 0.
+    A residual is one int of bits-wide fields, field k at bit bits * k
+    holding a value plus half = 2^(bits-1), where half > P, the largest
+    sum(abs(target)); no field borrows from its neighbour, a copy is one
+    subtraction, and a field's top bit is set iff its value is >= 0.
+
+    With e_i - e_j roots alone, field k holds the prefix sum w_1 + ... +
+    w_(k+1); a copy of e_i - e_j lowers fields i-1..j-2 by one.  A target
+    with a nonzero total is skipped.  Every positive root has nonnegative
+    prefix sums, so at group entry a residual is dropped as dead if one is
+    negative or one below field i-1 is nonzero (no later root changes
+    those); the level is then field i-1 itself, and the group's last root
+    sends all the copies left in one subtraction, as nothing after the group
+    touches coordinate i.  Prefix sums start in [-P/2, P/2], only fall, are
+    nonnegative at group entry, and a group lowers each by at most its
+    level, itself <= P/2.  Mixed root sets keep one coordinate per field:
+    those stay in [-P, P], as an e_i - e_j copy is sent only while w[i] > 0
+    and any other only lowers nonnegative coordinates.
     """
     roots = canonical_roots(allowed)
     for target in targets:
@@ -280,6 +314,12 @@ def count_capacity_restricted(target, allowed, initial, capacity: int) -> int:
     if max(initial, default=0) > capacity:
         return 0
     spare = [capacity - x for x in initial] + [capacity] * (ambient - len(initial))
-    # Copies land on j only before j's own group, while w[j] is target[j]
-    # plus the copies landed so far: the spare capacity caps w[j].
-    return _sweep({target: 1}, roots, [x + s for x, s in zip(target, spare)])
+    # Copies land on j only before j's own group, so w[j] only grows until
+    # the sweep reaches j: capping it there by target[j] plus the spare
+    # capacity caps every landing.  A coordinate with no roots of its own
+    # (the last one, for one) must be zero by then: its ceiling must be >= 0.
+    ceiling = [x + s for x, s in zip(target, spare)]
+    sources = {root.i for root in roots}
+    if any(cap < 0 for j, cap in enumerate(ceiling, 1) if j not in sources):
+        return 0
+    return _sweep({target: 1}, roots, ceiling)

@@ -11,13 +11,12 @@ q - 1 on binary start states.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from math import comb
 
 from .bijection import gamma_inverse, root_of_throw
 from .errors import DomainError, InvariantViolation
-from .juggling import Throw, enumerate_sequences
+from .juggling import enumerate_sequences
 from .kostant import partition_parts
 
 
@@ -46,14 +45,23 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
     Covers are found in throw space: throws (t, h1) and (t + h1, h2) merge
     into (t, h1 + h2), the image under gamma_inverse of fusing
     e_t - e_{t+h1} and e_{t+h1} - e_{t+h1+h2}.  Each sequence's distinct
-    throws are indexed by start time, so only such chained pairs are tried,
-    and the merged throw is inserted in place into the sorted throw tuple.
+    throws are indexed by start time, so only such chained pairs are tried.
+    A sequence is keyed by its throw multiset packed into one int, a count
+    field per distinct throw wide enough for the longest throw tuple, so a
+    merge is two subtractions, an addition and one lookup.
     """
     seqs = enumerate_sequences(a, b, n, capacity)
     if not seqs:
         raise DomainError("no juggling sequences exist for these parameters")
     instance = f"build_poset(a={a}, b={b}, n={n}, capacity={capacity})"
-    index = {s.throws: k for k, s in enumerate(seqs)}
+    width = max(len(s.throws) for s in seqs).bit_length()
+    slot: dict = {}  # throw -> one in its count field
+    for s in seqs:
+        for throw in s.throws:
+            if throw not in slot:
+                slot[throw] = 1 << width * len(slot)
+    keys = [sum(map(slot.__getitem__, s.throws)) for s in seqs]
+    index = {key: k for k, key in enumerate(keys)}
     min_throws = min(len(s.throws) for s in seqs)
     ranks = tuple(len(s.throws) - min_throws for s in seqs)
     covers = set()
@@ -63,12 +71,11 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
         for throw in distinct:
             starting.setdefault(throw.time, []).append(throw)
         for first in distinct:
-            for second in starting.get(first.time + first.height, ()):
-                merged = list(seq.throws)
-                merged.remove(first)
-                merged.remove(second)
-                insort(merged, Throw(first.time, first.height + second.height))
-                other = index.get(tuple(merged))
+            time, height = first
+            for second in starting.get(time + height, ()):
+                merged = slot.get((time, height + second.height))  # equal to its Throw
+                other = (None if merged is None else
+                         index.get(keys[k] - slot[first] - slot[second] + merged))
                 if other is None:
                     raise InvariantViolation(
                         f"{instance}: merge of {root_of_throw(first)} and "

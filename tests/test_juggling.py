@@ -170,9 +170,10 @@ class TestCountAgainstEnumeration:
 
 
 class TestPackedFieldEdges:
-    """count_sequences packs a state into fields sized by sum(abs(a)),
-    sum(abs(b)) and the capacity; these instances sit at the edges of that
-    width and at the ends of the layer, where a dropped height is refilled."""
+    """count_sequences packs a state into fields sized by sum(abs(a)) and
+    sum(abs(b)), which a capacity may exceed; these instances sit at the edges
+    of that width and at the ends of the layer, where a dropped height is
+    refilled."""
 
     @pytest.mark.parametrize("b", [(40,), (20, 20), (0, 40)])
     @pytest.mark.parametrize("capacity", [None, 87])  # 40 + 87 = 2^7 - 1
@@ -214,6 +215,55 @@ class TestPackedFieldEdges:
         # alone, (5, -5, 1) would equal the reachable (1,).
         assert count_sequences((1,), (5, -5, 1), 1) == 0
         assert count_sequences((1,), (1,), 1) == 1
+
+
+class TestLastAllowedHeight:
+    """At a time step's last allowed height count_sequences lands every ball
+    still in hand in one move, kept only if the height stays within its top."""
+
+    LOW_SETS = [ThrowSet.from_heights((1,)), ThrowSet.from_heights((1, 2)),
+                ThrowSet.from_heights((2,)), ThrowSet.from_heights((1, 3)),
+                ThrowSet.from_throws([(t, h) for t in range(1, 5) for h in range(1, 2 + t % 2)]),
+                ThrowSet.from_throws([(1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])]
+
+    @pytest.mark.parametrize("capacity", [None, 1, 2])
+    def test_throw_sets_below_the_window(self, capacity):
+        # the largest allowed height at some time is below bound - time
+        for allowed in self.LOW_SETS:
+            for a in CROSS_CHECK_STATES:
+                for b in CROSS_CHECK_STATES:
+                    for n in (1, 2, 4):
+                        assert (count_sequences(a, b, n, capacity, allowed)
+                                == len(enumerate_sequences(a, b, n, capacity, allowed))), (a, b, n)
+
+    @pytest.mark.parametrize("allowed", [ALL_THROWS, ThrowSet.from_heights((1, 2)),
+                                         ThrowSet.from_throws([(1, 1), (1, 2)])])
+    def test_capacity_filled_at_the_last_height(self, allowed):
+        # both balls in hand land at height 2, the last one allowed
+        for capacity, expected in ((1, 0), (2, 1), (3, 1)):
+            assert count_sequences((2,), (0, 2), 1, capacity, allowed) == len(
+                enumerate_sequences((2,), (0, 2), 1, capacity, allowed)) == expected
+        # a ball already waits at height 2: the hand's two fill it to three
+        for capacity, expected in ((2, 0), (3, 1), (4, 1)):
+            assert count_sequences((2, 0, 1), (0, 3), 1, capacity, allowed) == len(
+                enumerate_sequences((2, 0, 1), (0, 3), 1, capacity, allowed)) == expected
+
+    @pytest.mark.parametrize("capacity", [None, 1, 2])
+    def test_magic_cancelled_at_the_last_height_past_the_deadline(self, capacity):
+        # deadline n + len(b) < bound - 1: the last height at time 1 lands
+        # past the deadline, so the balls thrown there must cancel the magic
+        for a, b, n in (((2, 0, 0, -2), (), 1), ((3, 0, 0, -2), (1,), 1),
+                        ((2, 0, 0, 0, -2), (), 2), ((2, 1, 0, 0, -2), (1,), 2)):
+            for allowed in (ALL_THROWS, ThrowSet.from_heights((1, 3)), ThrowSet.from_heights((3,)),
+                            ThrowSet.from_heights((1, 2)), ThrowSet.from_throws([(1, 3), (1, 4)])):
+                if capacity is not None and max(a) > capacity:
+                    continue
+                count = count_sequences(a, b, n, capacity, allowed)
+                assert count == len(enumerate_sequences(a, b, n, capacity, allowed)), (a, b, n)
+        if capacity != 1:
+            assert count_sequences((2, 0, 0, -2), (), 1, capacity) == 1
+            assert count_sequences((2, 0, 0, -2), (), 1, capacity,
+                                   ThrowSet.from_heights((1, 2))) == 0
 
 
 def test_capacity_count_matches_restricted_partitions_past_the_grid():

@@ -163,6 +163,25 @@ def test_wide_coordinates_match_enumeration():
         assert count_partitions(mu, roots) == len(enumerate_partitions(mu, roots)), mu
 
 
+# Type A weights whose prefix sums reach the field edges: the pure sweep packs
+# prefix sums, whose largest size is the span for a nonzero total.
+WIDE_PREFIX = [
+    ("A", 2, (40, 0, -40)), ("A", 2, (40, 0, 0)), ("A", 2, (40, -40, 0)),
+    ("A", 2, (20, 20, -40)), ("A", 2, (-40, 0, 40)), ("A", 2, (0, 0, 40)),
+    ("A", 3, (40, 0, -40, 0)), ("A", 3, (20, 20, -20, -20)), ("A", 3, (40, -40, 40, -40)),
+    ("A", 3, (40, 0, 0, 0)), ("A", 3, (0, 40, 0, -40)),
+]
+
+
+def test_wide_prefix_sums_match_enumeration():
+    for lie_type, rank, mu in WIDE_PREFIX:
+        roots = positive_roots(lie_type, rank)
+        for allowed in (roots, roots[1:], roots[:-1]):
+            assert count_partitions(mu, allowed) == len(enumerate_partitions(mu, allowed)), mu
+    a2 = positive_roots("A", 2)
+    assert count_weighted({(40, 0, 0): 5, (40, 0, -40): 2, (0, 40, -40): 3}, a2) == 2 * 41 + 3
+
+
 def test_wide_coordinates_pinned():
     # values of the earlier tuple-keyed count, too many to enumerate
     assert count_partitions((40, 0, 0), positive_roots("B", 3)) == 2589202
@@ -279,6 +298,43 @@ class TestCapacityRestricted:
             nonzero += kept > 0
             restricted += kept != len(parts)
         assert nonzero > 100 and restricted > 100
+
+    def test_ceiling_at_coordinates_without_roots(self):
+        # coordinate 3 has no roots of its own: its cap still bounds landings
+        lam = [eminus(1, 3), eminus(2, 3)]
+        assert [count_capacity_restricted((1, 1, -2), lam, (), m) for m in (1, 2, 3)] == [0, 1, 1]
+        # neither coordinate 2 nor 3 has roots of its own
+        lam = [eminus(1, 3)]
+        assert [count_capacity_restricted((2, 0, -2), lam, (), m) for m in (1, 2)] == [0, 1]
+
+    def test_middle_coordinates_without_roots_match_filtered_enumeration(self):
+        rng = random.Random(5151)
+        nonzero = restricted = 0
+        for _ in range(300):
+            rank = rng.randint(2, 5)
+            n = rank + 1
+            idle = set(rng.sample(range(2, n), rng.randint(1, n - 2)))
+            allowed = [r for r in positive_roots("A", rank)
+                       if r.i not in idle and rng.random() < 0.8]
+            mu = [0] * n
+            for _ in range(rng.randint(0, 6) if allowed else 0):
+                for k, x in enumerate(root_to_weight(rng.choice(allowed), n)):
+                    mu[k] += x
+            initial = tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, n)))
+            capacity = rng.randint(1, 3)
+            start = [initial[k] if k < len(initial) else 0 for k in range(n)]
+            parts = enumerate_partitions(mu, allowed)
+            kept = 0
+            for partition in parts:
+                landed = list(start)
+                for root, mult in partition:
+                    landed[root.j - 1] += mult
+                kept += max(landed) <= capacity
+            count = count_capacity_restricted(mu, allowed, initial, capacity)
+            assert count == kept, (mu, allowed, initial, capacity)
+            nonzero += kept > 0
+            restricted += kept != len(parts)
+        assert nonzero > 50 and restricted > 50
 
     def test_rejects_non_minus_roots(self):
         with pytest.raises(DomainError):

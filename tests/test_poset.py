@@ -130,3 +130,19 @@ def test_missing_merge_names_the_instance(monkeypatch):
     message = str(info.value)
     assert "left the sequence set" in message
     assert "a=(1, 1, 1), b=(3,), n=3, capacity=None" in message
+
+
+def test_merge_into_an_unseen_throw_names_the_instance(monkeypatch):
+    # the bottom's one throw (1, 4) is made by no other sequence, so merging
+    # a chained pair into it finds no count field for it
+    full = poset_module.enumerate_sequences
+
+    def drop_bottom(*args):
+        return [s for s in full(*args) if len(s.throws) > 1]
+
+    monkeypatch.setattr(poset_module, "enumerate_sequences", drop_bottom)
+    with pytest.raises(InvariantViolation) as info:
+        build_poset((1,), (1,), 4, 1)
+    message = str(info.value)
+    assert "left the sequence set" in message
+    assert "a=(1,), b=(1,), n=4, capacity=1" in message
