@@ -14,11 +14,12 @@ from itertools import product
 
 from .bcd import (b_to_a_inverse, b_to_a_map, c_to_a_inverse, c_to_a_map,
                   count_highest_root_bcd, schmidt_bincer_count)
-from .bijection import (gamma, gamma_inverse, net_change_target,
-                        throwset_of_roots, time_bounded_roots)
-from .closedforms import (CLOSED_FORMS, GF_ROWS, catalan, catalan_product_check,
-                          closed_form_check, ehrhart_fit, gf_coefficients,
-                          gf_direct_count, lidskii_count, perm_det_count)
+from .bijection import (net_change_target, throwset_of_roots,
+                        time_bounded_roots, verify_correspondence)
+from .closedforms import (CLOSED_FORMS, GF_ROWS, ORACLE_MAX_RANK,
+                          catalan_product_check, closed_form_check, ehrhart_fit,
+                          gf_coefficients, gf_direct_count, lidskii_count,
+                          perm_det_count)
 from .errors import DomainError, InvariantViolation
 from .juggling import (ThrowSet, count_sequences, enumerate_labeled_sequences,
                        enumerate_sequences, labeled_count, normalize_state)
@@ -59,24 +60,10 @@ def criterion_bijection_grid():
     random restricted root sets."""
     checked = 0
     for r in range(1, 5):
-        full = positive_roots("A", r)
         for mu in _zero_sum_weights(r):
-            kp = count_partitions(mu, full)
-            a = normalize_state(mu[:r])
-            b = (sum(mu[:r]),)
-            js = count_sequences(a, b, r)
-            if kp != js:
-                return False, f"count mismatch at {mu}: {kp} vs {js}"
-            parts = enumerate_partitions(mu, full)
-            seqs = set(enumerate_sequences(a, b, r))
-            if len(seqs) != kp:
-                return False, f"enumeration mismatch at {mu}"
-            images = set()
-            for part in parts:
-                seq = gamma(part, a, r)
-                if seq in images or seq not in seqs or gamma_inverse(seq) != part:
-                    return False, f"map failure at {mu}, partition {part}"
-                images.add(seq)
+            report = verify_correspondence(mu)
+            if not report.ok:
+                return False, f"{mu}: {report.first_mismatch}"
             checked += 1
     rng = random.Random(_SEED)
     full4 = positive_roots("A", 4)
@@ -153,13 +140,9 @@ def criterion_generating_functions():
 def criterion_closed_forms():
     """Recurrence-evaluated closed forms against the partition-side oracles."""
     checked = 0
-    for which, spec in sorted(CLOSED_FORMS.items()):
-        min_r, _, _, _, oracle, _ = spec
-        for r in range(min_r, 7):
-            value = closed_form_check(which, r)
-            expected = oracle(r)
-            if value != expected:
-                return False, f"{which} at r={r}: {value} vs oracle {expected}"
+    for which, (min_r, *_) in sorted(CLOSED_FORMS.items()):
+        for r in range(min_r, ORACLE_MAX_RANK + 1):
+            closed_form_check(which, r)  # raises unless the oracle agrees
             checked += 1
     return True, f"{checked} (form, rank) pairs"
 
@@ -267,25 +250,18 @@ def criterion_lidskii():
         full = positive_roots("A", r)
         for head in product(range(3), repeat=r):
             mu = head + (-sum(head),)
-            b = lidskii_count(mu, "binomial")
-            m = lidskii_count(mu, "multiset")
+            value = lidskii_count(mu, "both")  # raises unless the variants agree
             oracle = count_partitions(mu, full)
-            if not b == m == oracle:
-                return False, f"{mu}: binomial {b}, multiset {m}, oracle {oracle}"
+            if value != oracle:
+                return False, f"{mu}: expansion {value}, oracle {oracle}"
             checked += 1
     return True, f"{checked} weights with entries in [0, 2], ranks 2..4"
 
 
 def criterion_catalan_products():
     """Staircase counts equal Catalan products through rank 7."""
-    for r in range(3, 8):
-        value = catalan_product_check(r)
-        product_value = 1
-        for k in range(1, r - 1):
-            product_value *= catalan(k)
-        if value != product_value:
-            return False, f"rank {r}: {value} vs {product_value}"
-    if catalan_product_check(7) != 5880:
+    values = [catalan_product_check(r) for r in range(3, 8)]  # each raises unless a Catalan product
+    if values[-1] != 5880:
         return False, "rank-7 anchor is not 5880"
     return True, "ranks 3..7; rank-7 value 5880"
 

@@ -10,7 +10,7 @@ neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 from .errors import DomainError
 from .juggling import count_sequences, normalize_state
@@ -148,15 +148,6 @@ def bcd_sequence_partition(seq: BcdSequence) -> Partition:
     return make_partition(parts)
 
 
-def _prefix_sums(w):
-    acc = 0
-    out = []
-    for x in w:
-        acc += x
-        out.append(acc)
-    return out
-
-
 def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     """Sum, over multiplicity configurations of the roots selected by
     `walked`, of the number of e_i - e_j partitions of what remains.
@@ -168,7 +159,8 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     coordinate sum (the non-e_i - e_j roots of schmidt_bincer_count), a node
     whose residual sums to zero is a leaf at once, with no frame per
     remaining root; the e_i - e_j roots of the literal reading sum to zero,
-    so there the walk runs to the last root.
+    so there the walk runs to the last root, and a weight with a nonzero sum
+    reaches no leaf at all and returns 0 before the walk.
     """
     if lie_type not in ("B", "C", "D"):
         raise DomainError("the reduction applies to types B, C, D")
@@ -182,7 +174,10 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     # A positive root's prefix sums are nonnegative, and `bound` never takes
     # a residual prefix sum below zero, so after the check on mu they stay
     # nonnegative and are carried down the walk by subtraction.
-    gpres = [_prefix_sums(g) for g in weights]
+    gpres = [list(accumulate(g)) for g in weights]
+    pre = list(accumulate(mu))
+    if pre[-1] != 0 and all(gpre[-1] == 0 for gpre in gpres):
+        return 0
     steps = [[(k, g) for k, g in enumerate(gpre) if g > 0] for gpre in gpres]
     settled = all(gpre[-1] > 0 for gpre in gpres)
     leaves: dict = {}
@@ -200,7 +195,6 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
                 w = tuple(a - b for a, b in zip(w, weight))
                 pre = [p - g for p, g in zip(pre, gpre)]
 
-    pre = _prefix_sums(mu)
     if min(pre) >= 0:
         rec(0, mu, pre)
     return count_weighted(leaves, minus_roots)
@@ -220,22 +214,25 @@ def schmidt_bincer_literal(lie_type: str, rank: int, mu) -> int:
     return _reduction(lie_type, rank, mu, lambda r: r.kind == MINUS)
 
 
-def count_highest_root_bcd(lie_type: str, rank: int) -> dict:
-    """The highest-root partition count by three routes that must agree:
-    brute force, the matching type-A juggling count, and the reduction."""
+def highest_root_juggling(lie_type: str, rank: int) -> int:
+    """The type-A juggling count equal to the B/C/D highest-root partition count."""
     check_type_rank(lie_type, rank)
     if lie_type not in ("B", "C", "D"):
         raise DomainError("highest-root identities cover types B, C, D")
-    alpha = highest_root(lie_type, rank)
-    oracle = count_partitions(alpha, positive_roots(lie_type, rank))
     if lie_type == "B":
-        juggling = count_sequences((1, 1), (1, 1), rank)
-    elif lie_type == "C":
-        juggling = count_sequences((2,), (2,), rank)
-    else:
-        juggling = 5 * count_sequences((1, 1), (1, 1), rank - 2)
+        return count_sequences((1, 1), (1, 1), rank)
+    if lie_type == "C":
+        return count_sequences((2,), (2,), rank)
+    return 5 * count_sequences((1, 1), (1, 1), rank - 2)
+
+
+def count_highest_root_bcd(lie_type: str, rank: int) -> dict:
+    """The highest-root partition count by three routes that must agree:
+    brute force, the matching type-A juggling count, and the reduction."""
+    juggling = highest_root_juggling(lie_type, rank)
+    alpha = highest_root(lie_type, rank)
     return {
-        "oracle": oracle,
+        "oracle": count_partitions(alpha, positive_roots(lie_type, rank)),
         "juggling": juggling,
         "schmidt_bincer": schmidt_bincer_count(lie_type, rank, alpha),
     }

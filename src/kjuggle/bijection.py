@@ -143,6 +143,8 @@ def verify_correspondence(mu, allowed=None, capacity=None) -> CorrespondenceRepo
         mismatch = f"count_partitions {p_count} != {len(partitions)} enumerated"
     if s_count != len(sequences):
         mismatch = mismatch or f"count_sequences {s_count} != {len(sequences)} enumerated"
+    if p_count != s_count:
+        mismatch = mismatch or f"{p_count} partitions != {s_count} sequences"
 
     seq_set = set(sequences)
     images = set()

@@ -15,15 +15,15 @@ from functools import cache
 
 from . import acceptance
 from .bcd import (b_to_a_inverse, b_to_a_map, c_to_a_inverse, c_to_a_map,
-                  count_highest_root_bcd, schmidt_bincer_count,
+                  highest_root_juggling, schmidt_bincer_count,
                   schmidt_bincer_literal)
 from .bijection import gamma, verify_correspondence
-from .closedforms import (CLOSED_FORMS, catalan_product_check,
-                          closed_form_check, count_matrices, determinant,
-                          ehrhart_fit, gf_coefficients, gf_direct_count,
-                          gf_row, lidskii_count, permanent, surd_value)
+from .closedforms import (CLOSED_FORMS, ORACLE_MAX_RANK, catalan_product_check,
+                          closed_form_check, ehrhart_fit, gf_coefficients,
+                          gf_direct_count, gf_row, lidskii_count, perm_det_count,
+                          surd_value)
 from .errors import DomainError, InvariantViolation
-from .juggling import ThrowSet, count_sequences, enumerate_sequences
+from .juggling import ALL_THROWS, ThrowSet, count_sequences, enumerate_sequences
 from .kostant import (count_partitions, enumerate_partitions, make_partition,
                       partition_parts)
 from .poset import (binomial_power_coefficients, build_poset,
@@ -181,6 +181,9 @@ def _cmd_kostant(args) -> int:
         allowed = subset
     count = count_partitions(weight, allowed)
     partitions = enumerate_partitions(weight, allowed) if args.enumerate else []
+    if args.enumerate and len(partitions) != count:
+        raise InvariantViolation(f"{len(partitions)} partitions listed, {count} counted, for "
+                                 f"weight {list(weight)} over {' '.join(map(str, allowed))}")
     if args.json:
         payload = {"count": str(count)}
         if args.enumerate:
@@ -200,7 +203,7 @@ def _throwset_from_args(args) -> ThrowSet:
         return _parse_throws(args.throws)
     if args.throws_file:
         return _load_throws(args.throws_file)
-    return ThrowSet.all_throws()
+    return ALL_THROWS
 
 
 def _cmd_js(args) -> int:
@@ -283,13 +286,11 @@ def _cmd_bcd(args) -> int:
             methods["oracle"] = count_partitions(weight, positive_roots(args.type, args.rank))
         if args.method in ("schmidt-bincer", "all"):
             methods["schmidt_bincer"] = schmidt_bincer_count(args.type, args.rank, weight)
-        if args.method in ("juggling", "all"):
-            if not is_highest:
-                if args.method == "juggling":
-                    raise DomainError("the juggling identity is proved for the "
-                                      "highest root only; use --highest-root")
-            else:
-                methods["juggling"] = count_highest_root_bcd(args.type, args.rank)["juggling"]
+        if args.method == "juggling" and not is_highest:
+            raise DomainError("the juggling identity is proved for the "
+                              "highest root only; use --highest-root")
+        if args.method in ("juggling", "all") and is_highest:
+            methods["juggling"] = highest_root_juggling(args.type, args.rank)
         if args.method == "all":
             methods["literal_schmidt_bincer"] = schmidt_bincer_literal(
                 args.type, args.rank, weight)
@@ -362,32 +363,24 @@ def _cmd_poset(args) -> int:
 
 def _cmd_permdet(args) -> int:
     allowed = _load_roots(args.roots) if args.roots else positive_roots("A", args.rank)
-    m, n = count_matrices(args.rank, allowed)
-    p = permanent(m)
-    d = determinant(n)
-    if p != d:
-        raise InvariantViolation(f"permanent {p} != determinant {d}")
+    p = perm_det_count(args.rank, allowed)  # raises unless det(N) equals it
     oracle = count_partitions(highest_root("A", args.rank), allowed)
     if args.json:
-        _emit_json({"permanent": str(p), "determinant": str(d), "kostant": str(oracle),
+        _emit_json({"permanent": str(p), "determinant": str(p), "kostant": str(oracle),
                     "agree": p == oracle})
     else:
         print(f"permanent:   {p}")
-        print(f"determinant: {d}")
+        print(f"determinant: {p}")
         print(f"partitions:  {oracle}")
     return 0 if p == oracle else 1
 
 
 def _cmd_lidskii(args) -> int:
     weight = _parse_ints(args.weight_eps, "weight")
-    rank = len(weight) - 1
-    values = {}
-    if args.variant in ("binomial", "both"):
-        values["binomial"] = lidskii_count(weight, "binomial")
-    if args.variant in ("multiset", "both"):
-        values["multiset"] = lidskii_count(weight, "multiset")
-    oracle = count_partitions(weight, positive_roots("A", rank))
-    agree = all(v == oracle for v in values.values())
+    value = lidskii_count(weight, args.variant)  # "both" raises unless they agree
+    values = {k: value for k in ("binomial", "multiset") if args.variant in (k, "both")}
+    oracle = count_partitions(weight, positive_roots("A", len(weight) - 1))
+    agree = value == oracle
     if args.json:
         _emit_json({"weight": list(weight),
                     "values": {k: str(v) for k, v in values.items()},
@@ -415,12 +408,12 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_closedform(args) -> int:
-    value = closed_form_check(args.which, args.r)
+    value = closed_form_check(args.which, args.r)  # raises unless the oracle agrees
     surd = surd_value(args.which, args.r)
     payload = {"which": args.which, "r": args.r, "value": str(value),
                "surd": str(surd), "surd_matches": surd == value}
-    if args.r <= 6:
-        payload["oracle"] = str(CLOSED_FORMS[args.which][4](args.r))
+    if args.r <= ORACLE_MAX_RANK:
+        payload["oracle"] = str(value)
     if args.json:
         _emit_json(payload)
     else:

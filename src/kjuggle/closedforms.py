@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from .bijection import net_change_target
 from .errors import DomainError, InvariantViolation
 from .juggling import count_sequences, normalize_state
 from .kostant import canonical_roots, count_capacity_restricted, count_partitions
@@ -201,7 +202,7 @@ def lidskii_count(mu, variant: str = "both") -> int:
         return multiset_total
     if binomial_total != multiset_total:
         raise InvariantViolation(
-            f"expansion variants disagree: {binomial_total} != {multiset_total}")
+            f"expansion variants disagree at {mu}: {binomial_total} != {multiset_total}")
     return binomial_total
 
 
@@ -252,20 +253,11 @@ def gf_direct_count(row_id: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Conjugate-surd corollaries, evaluated through their integer recurrences.
 # Seeds come from the juggling engine; oracle checks go through the
-# partition engine, so the two sides stay independent.
-
-def _periodic_weight(rank: int, state, length: int):
-    """Net change vector of a periodic sequence: state at the start, minus
-    the same state shifted past the length."""
-    w = [0] * (rank + 1)
-    for k, x in enumerate(state):
-        w[k] += x
-        w[length + k] -= x
-    return tuple(w)
-
+# partition engine, so the two sides stay independent.  In every form the state's
+# length plus the sequence length is r + 1, the ambient dimension of A_r.
 
 def _c45_oracle(r):
-    return count_partitions(_periodic_weight(r, (2,), r), positive_roots("A", r))
+    return count_partitions(net_change_target((2,), (2,), r), positive_roots("A", r))
 
 
 def _periodic_direct(state, short: int):
@@ -276,7 +268,7 @@ def _periodic_direct(state, short: int):
 def _capacity_oracle(state, short: int):
     """The same count on the partition side: throws start before r - short."""
     def oracle(r):
-        mu = _periodic_weight(r, state, r - short)
+        mu = net_change_target(state, state, r - short)
         lam = [x for x in positive_roots("A", r) if x.i <= r - short]
         return count_capacity_restricted(mu, lam, state, 2)
     return oracle
@@ -298,6 +290,8 @@ CLOSED_FORMS = {
             (3, 4, 1, 2, "plus", 9, 14, lambda r: 338)),
 }
 
+ORACLE_MAX_RANK = 6  # closed_form_check brute-forces ranks up to this one
+
 
 def closed_form_value(which: str, r: int) -> int:
     """Recurrence value of the closed form, seeded from direct counts."""
@@ -318,7 +312,7 @@ def closed_form_check(which: str, r: int) -> int:
     """Recurrence value, asserted equal to the partition-side oracle for
     ranks small enough to brute force."""
     value = closed_form_value(which, r)
-    if r <= 6:
+    if r <= ORACLE_MAX_RANK:
         oracle = CLOSED_FORMS[which][4](r)
         if value != oracle:
             raise InvariantViolation(f"{which} at rank {r}: recurrence {value} != oracle {oracle}")

@@ -49,10 +49,6 @@ class ThrowSet:
             raise DomainError("a throw set is either height-based or explicit, not both")
 
     @classmethod
-    def all_throws(cls) -> "ThrowSet":
-        return cls()
-
-    @classmethod
     def from_heights(cls, heights) -> "ThrowSet":
         heights = tuple(heights)
         if any(h < 1 for h in heights):
@@ -74,7 +70,7 @@ class ThrowSet:
         return True
 
 
-ALL_THROWS = ThrowSet.all_throws()
+ALL_THROWS = ThrowSet()
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ def parse_root(text: str) -> Root:
 
     The digits-only forms collide: a single index of two or more digits that
     starts with 2 reads as a doubled root, so "21" is 2e_1 (not e_21) and "20"
-    is rejected.  B/C ranks of 20 and above are cheap, so this bites (ROADMAP
-    item 5).
+    is rejected.  Type B has e_20 from rank 20 on, and such ranks are cheap,
+    so this bites (ROADMAP item 7).
     """
     text = text.strip()
     m = _ROOT_RE.match(text)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -125,6 +126,20 @@ def test_literal_reduction_collapses_on_nonzero_sum():
     # so weights off the type-A lattice contribute nothing
     assert schmidt_bincer_literal("B", 2, highest_root("B", 2)) == 0
     assert schmidt_bincer_literal("C", 3, highest_root("C", 3)) == 0
+
+
+@pytest.mark.parametrize("lie_type", "BCD")
+def test_literal_reduction_returns_at_once_off_the_zero_sum_lattice(lie_type):
+    start = time.perf_counter()
+    assert schmidt_bincer_literal(lie_type, 12, highest_root(lie_type, 12)) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_literal_reduction_checks_its_input_first():
+    with pytest.raises(DomainError):
+        schmidt_bincer_literal("B", 3, (1, 1))
+    with pytest.raises(DomainError):
+        schmidt_bincer_literal("A", 3, (1, 0, 0, 0))
 
 
 # Zero-sum weights, where the literal walk's e_i - e_j roots keep every

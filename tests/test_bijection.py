@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from kjuggle import bijection
 from kjuggle.bijection import (gamma, gamma_inverse, net_change_target,
                                root_of_throw, throw_of_root, throwset_of_roots,
                                time_bounded_roots, verify_correspondence)
@@ -80,6 +81,16 @@ def test_verify_correspondence_scaled_highest_root():
     report = verify_correspondence(mu)
     assert report.ok
     assert report.partition_count == count_sequences((3,), (3,), 4)
+
+
+def test_verify_correspondence_names_a_count_mismatch(monkeypatch):
+    # both listings agree with their own counts, one partition short, and the
+    # gamma checks all pass: only the count comparison can name the fault
+    monkeypatch.setattr(bijection, "enumerate_partitions", lambda *a: enumerate_partitions(*a)[1:])
+    monkeypatch.setattr(bijection, "count_partitions", lambda *a: count_partitions(*a) - 1)
+    report = verify_correspondence((1, 1, -1, -1))
+    assert not report.ok
+    assert report.first_mismatch == "4 partitions != 5 sequences"
 
 
 def test_verify_correspondence_rejects_nonzero_sum():

@@ -2,10 +2,11 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kjuggle import cli
+from kjuggle import bcd, cli, closedforms
 from kjuggle.cli import dispatch
 from kjuggle.kostant import enumerate_partitions
 
@@ -61,6 +62,47 @@ def test_kostant_enumerate_text_lists_each_partition_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_kostant_enumerate_checks_the_listing_against_the_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_partitions", lambda *a: enumerate_partitions(*a)[1:])
+    code, out, err = run(capsys, "kostant", "--type", "A", "--rank", "3",
+                         "--weight-alpha", "1,2,1", "--enumerate")
+    assert code == 1 and out == ""
+    assert err == ("internal invariant violated: 4 partitions listed, 5 counted, for weight "
+                   "[1, 1, -1, -1] over 1-2 1-3 1-4 2-3 2-4 3-4\n")
+
+
+def _count_calls(monkeypatch, fn, *modules):
+    """Patch fn's name in each module with a wrapper; returns the list of calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_bcd_count_runs_each_route_once(capsys, monkeypatch):
+    partitions = _count_calls(monkeypatch, bcd.count_partitions, cli, bcd)
+    reductions = _count_calls(monkeypatch, bcd.schmidt_bincer_count, cli, bcd)
+    assert run(capsys, "bcd", "count", "--type", "B", "--rank", "3", "--highest-root")[0] == 0
+    assert len(partitions) == len(reductions) == 1
+
+
+def test_lidskii_expands_once(capsys, monkeypatch):
+    expansions = _count_calls(monkeypatch, closedforms.lidskii_count, cli)
+    assert run(capsys, "lidskii", "--weight-eps", "2,1,1,0,-4")[0] == 0
+    assert len(expansions) == 1
+
+
+def test_closedform_runs_the_oracle_once(capsys, monkeypatch):
+    oracles = _count_calls(monkeypatch, closedforms.count_capacity_restricted, closedforms)
+    assert run(capsys, "closedform", "--which", "c46", "--r", "5")[0] == 0
+    assert len(oracles) == 1
+
+
 def test_js_count_and_enum(capsys):
     code, out, _ = run(capsys, "js", "count", "--initial", "1", "--terminal", "1",
                        "--length", "3")
@@ -105,6 +147,56 @@ def test_permdet_with_roots_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["permanent"] == payload["determinant"] == payload["kostant"] == "5"
+
+
+# Exact output of the commands that cross-check a count by two routes, as
+# printed before each route was made to run once.
+PINNED = [
+    ("permdet --rank 7 --json",
+     '{"agree":true,"determinant":"64","kostant":"64","permanent":"64"}\n'),
+    ("permdet --rank 7", "permanent:   64\ndeterminant: 64\npartitions:  64\n"),
+    ("permdet --rank 4 --roots @roots --json",
+     '{"agree":true,"determinant":"5","kostant":"5","permanent":"5"}\n'),
+    ("permdet --rank 4 --roots @roots", "permanent:   5\ndeterminant: 5\npartitions:  5\n"),
+    ("lidskii --weight-eps 2,1,1,0,-4 --json",
+     '{"agree":true,"oracle":"138","values":{"binomial":"138","multiset":"138"},'
+     '"weight":[2,1,1,0,-4]}\n'),
+    ("lidskii --weight-eps 2,1,1,0,-4", "binomial: 138\nmultiset: 138\noracle: 138\n"),
+    ("lidskii --weight-eps 2,1,1,0,-4 --variant binomial --json",
+     '{"agree":true,"oracle":"138","values":{"binomial":"138"},"weight":[2,1,1,0,-4]}\n'),
+    ("lidskii --weight-eps 2,1,1,0,-4 --variant multiset", "multiset: 138\noracle: 138\n"),
+    ("closedform --which c46 --r 5 --json",
+     '{"oracle":"40","r":5,"surd":"40","surd_matches":true,"value":"40","which":"c46"}\n'),
+    ("closedform --which c48 --r 6 --json",
+     '{"oracle":"105","r":6,"surd":"105","surd_matches":true,"value":"105","which":"c48"}\n'),
+    ("closedform --which c45 --r 8 --json",
+     '{"r":8,"surd":"5875","surd_matches":true,"value":"5875","which":"c45"}\n'),
+    ("closedform --which c46 --r 5", "40\n# exact surd value: 40\n"),
+    ("bcd count --type B --rank 3 --highest-root --json",
+     '{"agree":true,"methods":{"juggling":"11","literal_schmidt_bincer":"0","oracle":"11",'
+     '"schmidt_bincer":"11"},"rank":3,"type":"B","weight":[1,1,0]}\n'),
+    ("bcd count --type C --rank 4 --highest-root --json",
+     '{"agree":true,"methods":{"juggling":"35","literal_schmidt_bincer":"0","oracle":"35",'
+     '"schmidt_bincer":"35"},"rank":4,"type":"C","weight":[2,0,0,0]}\n'),
+    ("bcd count --type D --rank 5 --highest-root --json",
+     '{"agree":true,"methods":{"juggling":"55","literal_schmidt_bincer":"0","oracle":"55",'
+     '"schmidt_bincer":"55"},"rank":5,"type":"D","weight":[1,1,0,0,0]}\n'),
+    ("bcd count --type C --rank 4 --highest-root",
+     "juggling: 35\nliteral_schmidt_bincer: 0\noracle: 35\nschmidt_bincer: 35\n"
+     "# methods agree: True\n"),
+    ("bcd count --type B --rank 3 --highest-root --method juggling", "juggling: 11\n"),
+    ("bcd count --type B --rank 3 --weight-eps 1,1,0",
+     "juggling: 11\nliteral_schmidt_bincer: 0\noracle: 11\nschmidt_bincer: 11\n"
+     "# methods agree: True\n"),
+]
+
+
+@pytest.mark.parametrize("command, expected", PINNED)
+def test_cross_checked_output_is_pinned(command, expected, tmp_path, capsys):
+    roots = tmp_path / "lam.txt"
+    roots.write_text("1-2\n1-3\n2-3\n2-4\n3-4\n3-5\n4-5\n")
+    argv = [str(roots) if arg == "@roots" else arg for arg in command.split()]
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_bijection_roundtrip(capsys):
