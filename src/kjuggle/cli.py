@@ -18,9 +18,9 @@ from .bcd import (b_to_a_inverse, b_to_a_map, c_to_a_inverse, c_to_a_map,
                   highest_root_juggling, schmidt_bincer_count,
                   schmidt_bincer_literal)
 from .bijection import gamma, verify_correspondence
-from .closedforms import (CLOSED_FORMS, ORACLE_MAX_RANK, catalan_product_check,
-                          closed_form_check, ehrhart_fit, gf_coefficients,
-                          gf_direct_count, gf_row, lidskii_count, perm_det_count,
+from .closedforms import (CLOSED_FORMS, GF_DIRECT_MAX, ORACLE_MAX_RANK,
+                          catalan_product_check, closed_form_check, ehrhart_fit,
+                          gf_check, gf_row, lidskii_count, perm_det_count,
                           surd_value)
 from .errors import DomainError, InvariantViolation
 from .juggling import ALL_THROWS, ThrowSet, count_sequences, enumerate_sequences
@@ -393,18 +393,16 @@ def _cmd_lidskii(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    coeffs = gf_coefficients(args.row, args.upto)
+    coeffs = gf_check(args.row, args.upto)  # raises unless the direct counts agree
     state, capacity, _, _ = gf_row(args.row)
-    direct = [gf_direct_count(args.row, n) for n in range(1, min(args.upto, 6) + 1)]
-    agree = coeffs[:len(direct)] == direct
     if args.json:
         _emit_json({"row": args.row, "state": list(state), "capacity": capacity,
-                    "coefficients": [str(c) for c in coeffs], "agree_with_direct": agree})
+                    "coefficients": [str(c) for c in coeffs], "agree_with_direct": True})
     else:
         print(" ".join(str(c) for c in coeffs))
         if not args.quiet:
-            print(f"# direct counts (n <= {len(direct)}) agree: {agree}")
-    return 0 if agree else 1
+            print(f"# direct counts (n <= {min(args.upto, GF_DIRECT_MAX)}) agree: True")
+    return 0
 
 
 def _cmd_closedform(args) -> int:

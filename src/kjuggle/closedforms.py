@@ -54,21 +54,26 @@ def permanent(matrix) -> int:
     """Exact permanent by Ryser's inclusion-exclusion over column subsets.
 
     The subsets are visited in Gray-code order, so each step updates the row
-    sums by the one column that flips; step k's subset has k's parity.
+    sums by the one column that flips; step k's subset has k's parity.  Only
+    the column's nonzero entries are added, and the product is formed only
+    when no row sum is zero.
     """
     size = len(matrix)
     if size == 0:
         return 1
-    columns = list(zip(*matrix))
+    columns = [[(r, x) for r, x in enumerate(column) if x] for column in zip(*matrix)]
     sums = [0] * size
+    zeros = size  # row sums equal to 0
     total = 0
     for k in range(1, 1 << size):
         c = (k & -k).bit_length() - 1
-        if (k ^ k >> 1) >> c & 1:
-            sums = [s + x for s, x in zip(sums, columns[c])]
-        else:
-            sums = [s - x for s, x in zip(sums, columns[c])]
-        total += -prod(sums) if k & 1 else prod(sums)
+        sign = 1 if (k ^ k >> 1) >> c & 1 else -1
+        for r, x in columns[c]:
+            old = sums[r]
+            sums[r] = new = old + sign * x
+            zeros += (new == 0) - (old == 0)
+        if not zeros:
+            total += -prod(sums) if k & 1 else prod(sums)
     return -total if size & 1 else total
 
 
@@ -248,6 +253,19 @@ def gf_direct_count(row_id: str, n: int) -> int:
     """The same coefficient by the juggling engine: periodic count of length n."""
     state, capacity, _, _ = gf_row(row_id)
     return count_sequences(state, state, n, capacity)
+
+
+GF_DIRECT_MAX = 6  # gf_check compares lengths up to this one with direct counts
+
+
+def gf_check(row_id: str, upto: int) -> list[int]:
+    """Coefficients of x^1..x^upto, asserted equal to the direct counts of
+    lengths 1..min(upto, GF_DIRECT_MAX)."""
+    coeffs = gf_coefficients(row_id, upto)
+    direct = [gf_direct_count(row_id, n) for n in range(1, min(upto, GF_DIRECT_MAX) + 1)]
+    if coeffs[:len(direct)] != direct:
+        raise InvariantViolation(f"row {row_id}: {coeffs[:len(direct)]} vs direct {direct}")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,11 @@ def enumerate_labeled_sequences(a, b, n: int):
     """All labeled sequences from a to b, walking the joint state machine.
 
     Each label transitions independently at every step; the result is the
-    list of state paths (used to cross-check the product formula).
+    list of state paths (used to cross-check the product formula).  A
+    per-call memo maps (label, time, state) to that label's live steps, as in
+    `enumerate_sequences`, and a joint step is one pick of a live step per
+    label, taken in `itertools.product` order, so no branch that dies is
+    entered.
     """
     a, b = normalize_labeled(a), normalize_labeled(b)
     labels = max(label_count(a), label_count(b))
@@ -385,23 +389,39 @@ def enumerate_labeled_sequences(a, b, n: int):
     deadlines = [n + len(v) for v in comps_b]
     if any(_dead(u, 0, d) for u, d in zip(comps_a, deadlines)):
         return []
+    if n == 0:
+        return [[tuple(comps_a)]] if comps_a == comps_b else []
+    memo: dict = {}
     found = []
     path = [tuple(comps_a)]
 
-    def rec(time):
-        if time > n:
-            if path[-1] == tuple(comps_b):
-                found.append(list(path))
-            return
-        options = []
-        for j in range(labels):
-            opts = [new for new, _ in successors(path[-1][j], time, None, ALL_THROWS, bounds[j])
-                    if not _dead(new, time, deadlines[j])]
-            options.append(opts)
-        for joint in product(*options):
-            path.append(joint)
-            rec(time + 1)
+    def live(label, time, state) -> list:
+        """The label's live steps from state at time: (new state, the live
+        steps from it at time + 1, or None at time n)."""
+        key = (label, time, state)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = []
+        for new, _ in successors(state, time, None, ALL_THROWS, bounds[label]):
+            if time == n:
+                if new == comps_b[label]:
+                    out.append((new, None))
+            elif not _dead(new, time, deadlines[label]):
+                below = live(label, time + 1, new)
+                if below:
+                    out.append((new, below))
+        memo[key] = out
+        return out
+
+    def rec(time, steps):
+        for joint in product(*steps):
+            path.append(tuple([new for new, _ in joint]))
+            if time == n:
+                found.append(path[:])
+            else:
+                rec(time + 1, [below for _, below in joint])
             path.pop()
 
-    rec(1)
+    rec(1, [live(j, 1, u) for j, u in enumerate(comps_a)])
     return found

@@ -44,11 +44,13 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
 
     Covers are found in throw space: throws (t, h1) and (t + h1, h2) merge
     into (t, h1 + h2), the image under gamma_inverse of fusing
-    e_t - e_{t+h1} and e_{t+h1} - e_{t+h1+h2}.  Each sequence's distinct
-    throws are indexed by start time, so only such chained pairs are tried.
-    A sequence is keyed by its throw multiset packed into one int, a count
-    field per distinct throw wide enough for the longest throw tuple, so a
-    merge is two subtractions, an addition and one lookup.
+    e_t - e_{t+h1} and e_{t+h1} - e_{t+h1+h2}.  A sequence is keyed by its
+    throw multiset packed into one int, a count field per distinct throw
+    wide enough for the longest throw tuple.  Each distinct throw's chained
+    partners are listed once, with the key change of their merge, so a
+    sequence tries only the pairs it holds and a merge is one mask test, one
+    addition and one lookup.  Distinct pairs of one sequence merge into
+    distinct sequences, so no cover is found twice.
     """
     seqs = enumerate_sequences(a, b, n, capacity)
     if not seqs:
@@ -60,31 +62,40 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
         for throw in s.throws:
             if throw not in slot:
                 slot[throw] = 1 << width * len(slot)
+    starting: dict = {}  # time -> the distinct throws made then
+    for throw in slot:
+        starting.setdefault(throw.time, []).append(throw)
+    field = (1 << width) - 1
+    partners = {}  # throw -> (second's count field, second, key change or None), chained
+    for first, one in slot.items():
+        time, height = first
+        pairs = []
+        for second in starting.get(time + height, ()):
+            merged = slot.get((time, height + second.height))  # equal to its Throw
+            delta = None if merged is None else merged - one - slot[second]
+            pairs.append((slot[second] * field, second, delta))
+        partners[first] = pairs
     keys = [sum(map(slot.__getitem__, s.throws)) for s in seqs]
     index = {key: k for k, key in enumerate(keys)}
     min_throws = min(len(s.throws) for s in seqs)
     ranks = tuple(len(s.throws) - min_throws for s in seqs)
-    covers = set()
+    covers = []
     for k, seq in enumerate(seqs):
-        distinct = dict.fromkeys(seq.throws)
-        starting: dict = {}  # time -> the distinct throws made then
-        for throw in distinct:
-            starting.setdefault(throw.time, []).append(throw)
-        for first in distinct:
-            time, height = first
-            for second in starting.get(time + height, ()):
-                merged = slot.get((time, height + second.height))  # equal to its Throw
-                other = (None if merged is None else
-                         index.get(keys[k] - slot[first] - slot[second] + merged))
-                if other is None:
-                    raise InvariantViolation(
-                        f"{instance}: merge of {root_of_throw(first)} and "
-                        f"{root_of_throw(second)} left the sequence set")
-                covers.add((other, k))
+        key = keys[k]
+        for first in dict.fromkeys(seq.throws):
+            for held, second, delta in partners[first]:
+                if key & held:
+                    other = None if delta is None else index.get(key + delta)
+                    if other is None:
+                        raise InvariantViolation(
+                            f"{instance}: merge of {root_of_throw(first)} and "
+                            f"{root_of_throw(second)} left the sequence set")
+                    covers.append((other, k))
     for lo, hi in covers:
         if ranks[hi] != ranks[lo] + 1:
             raise InvariantViolation(f"{instance}: cover does not raise rank by one")
-    return JugglingPoset(tuple(seqs), tuple(sorted(covers)), ranks)
+    covers.sort()
+    return JugglingPoset(tuple(seqs), tuple(covers), ranks)
 
 
 def _strictly_below(poset: JugglingPoset):

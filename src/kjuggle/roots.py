@@ -8,7 +8,6 @@ root is one of four shapes: e_i - e_j, e_i + e_j, e_i, or 2e_i.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
@@ -25,26 +24,58 @@ LIE_TYPES = ("A", "B", "C", "D")
 MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
 
 
-@dataclass(frozen=True, slots=True)
 class Root:
-    """A positive root; for SINGLE and DOUBLE kinds the second index is 0."""
+    """A positive root; for SINGLE and DOUBLE kinds the second index is 0.
 
-    kind: str
-    i: int
-    j: int = 0
-    key: tuple = field(init=False, repr=False, compare=False)  # the canonical sort key
+    Roots are interned: `Root(kind, i, j)` returns the one object of that
+    root, so equality and hashing are identity, and copies and pickles come
+    back as the same object.  Its canonical sort key and its compact text
+    are computed once, when the root is first made.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise DomainError(f"unknown root kind {self.kind!r}")
-        if self.i < 1:
-            raise DomainError(f"root index {self.i} must be >= 1")
-        if self.kind in (MINUS, PLUS):
-            if not self.i < self.j:
-                raise DomainError(f"root indices must satisfy i < j, got ({self.i}, {self.j})")
-        elif self.j != 0:
-            raise DomainError(f"{self.kind} roots take a single index")
-        object.__setattr__(self, "key", (_KIND_ORDER[self.kind], self.i, self.j))
+    __slots__ = ("kind", "i", "j", "key", "text")
+
+    def __new__(cls, kind: str, i: int, j: int = 0):
+        root = _INTERNED.get((kind, i, j))
+        if root is not None:
+            return root
+        if kind not in _KIND_ORDER:
+            raise DomainError(f"unknown root kind {kind!r}")
+        # The lookup above matches any index equal to an int (1.0, True), so
+        # such an index gets the int root here too, and nothing else is stored.
+        try:
+            whole = int(i), int(j)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole != (i, j):
+            raise DomainError(f"root indices must be integers, got ({i!r}, {j!r})")
+        i, j = whole
+        if i < 1:
+            raise DomainError(f"root index {i} must be >= 1")
+        if kind in (MINUS, PLUS):
+            if not i < j:
+                raise DomainError(f"root indices must satisfy i < j, got ({i}, {j})")
+        elif j != 0:
+            raise DomainError(f"{kind} roots take a single index")
+        text = {MINUS: f"{i}-{j}", PLUS: f"{i}+{j}", SINGLE: f"{i}", DOUBLE: f"2{i}"}[kind]
+        root = object.__new__(cls)
+        for name, value in (("kind", kind), ("i", i), ("j", j),
+                            ("key", (_KIND_ORDER[kind], i, j)), ("text", text)):
+            object.__setattr__(root, name, value)
+        _INTERNED[kind, i, j] = root
+        return root
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Root")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Root")
+
+    def __reduce__(self):
+        return Root, (self.kind, self.i, self.j)
+
+    def __repr__(self):
+        return f"Root(kind={self.kind!r}, i={self.i!r}, j={self.j!r})"
 
     def sort_key(self):
         return self.key
@@ -53,13 +84,13 @@ class Root:
         return self.key < other.key
 
     def __str__(self):
-        if self.kind == MINUS:
-            return f"{self.i}-{self.j}"
-        if self.kind == PLUS:
-            return f"{self.i}+{self.j}"
-        if self.kind == SINGLE:
-            return f"{self.i}"
-        return f"2{self.i}"
+        return self.text
+
+    def __format__(self, spec):
+        return format(self.text, spec)
+
+
+_INTERNED: dict[tuple, Root] = {}  # (kind, i, j) -> its one Root
 
 
 def eminus(i, j) -> Root:

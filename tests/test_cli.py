@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kjuggle import bcd, cli, closedforms
+from kjuggle import acceptance, bcd, cli, closedforms
 from kjuggle.cli import dispatch
+from kjuggle.errors import InvariantViolation
 from kjuggle.kostant import enumerate_partitions
 
 
@@ -277,6 +278,21 @@ def test_lidskii_cli(capsys):
 def test_gf_cli(capsys):
     code, out, _ = run(capsys, "gf", "--row", "2|2", "--upto", "4", "--quiet")
     assert code == 0 and out.split() == ["1", "3", "10", "35"]
+
+
+def test_gf_checks_the_recurrence_against_direct_counts_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, closedforms.gf_direct_count, closedforms)
+    code, out, _ = run(capsys, "gf", "--row", "2|2", "--upto", "8")
+    assert code == 0
+    assert out == "1 3 10 35 125 450 1625 5875\n# direct counts (n <= 6) agree: True\n"
+    assert [n for _, n in calls] == [1, 2, 3, 4, 5, 6]
+
+    monkeypatch.setattr(closedforms, "gf_direct_count", lambda row, n: 7)
+    code, out, err = run(capsys, "gf", "--row", "2|2", "--upto", "2", "--json")
+    assert code == 1 and out == ""
+    assert err == "internal invariant violated: row 2|2: [1, 3] vs direct [7, 7]\n"
+    with pytest.raises(InvariantViolation, match=r"vs direct \[7, 7, 7, 7, 7, 7\]"):
+        acceptance.criterion_generating_functions()
 
 
 def test_closedform_cli(capsys):

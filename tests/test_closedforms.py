@@ -50,12 +50,43 @@ class TestPermDet:
 
     def test_permanent_matches_sum_over_permutations(self):
         rnd = random.Random(2024)
-        for size in range(1, 7):
-            for _ in range(25):
-                m = [[rnd.randint(-4, 5) for _ in range(size)] for _ in range(size)]
+        for size in range(0, 8):
+            for trial in range(25 if size < 7 else 6):
+                m = [[rnd.choice((0, 0, rnd.randint(-4, 5))) for _ in range(size)]
+                     for _ in range(size)]
+                if size and trial % 3 == 1:  # a zero row
+                    m[rnd.randrange(size)] = [0] * size
+                if size and trial % 3 == 2:  # a zero column
+                    c = rnd.randrange(size)
+                    for row in m:
+                        row[c] = 0
                 brute = sum(prod(m[i][p[i]] for i in range(size))
                             for p in permutations(range(size)))
                 assert permanent(m) == brute, m
+
+    def test_permanent_of_large_count_matrices_matches_row_expansion(self):
+        def expand(m):
+            """The sum over permutations by Laplace expansion along the rows,
+            memoized on the set of columns the rows above used."""
+            memo = {}
+
+            def rest(row, used):
+                if row == len(m):
+                    return 1
+                if used not in memo:
+                    memo[used] = sum(x * rest(row + 1, used | 1 << c)
+                                     for c, x in enumerate(m[row]) if x and not used >> c & 1)
+                return memo[used]
+
+            return rest(0, 0)
+
+        rnd = random.Random(1963)
+        for rank in (11, 12, 13):
+            for density in (0.3, 0.6, 1.0):
+                lam = [r for r in positive_roots("A", rank) if rnd.random() < density]
+                m, _ = count_matrices(rank, lam)
+                assert permanent(m) == expand(m), (rank, density)
+            assert permanent(m) == 2 ** (rank - 1)  # every root: one per chain
 
     def test_permanent_equals_partition_count_on_random_subsets(self):
         rnd = random.Random(7)

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import kjuggle
 
-# Two counts, two listings and one poset.  A Root hashes its kind string, whose
-# hash PYTHONHASHSEED changes, so any output that followed the iteration order
-# of a set of roots would differ between the two runs.
+# Two counts, two listings and one poset.  A Root hashes by identity, so a set
+# of roots iterates in an order set by memory addresses, and anything keyed by
+# strings in one set by PYTHONHASHSEED; output that followed either order
+# could differ between the two runs.
 SCRIPT = """
 from kjuggle.bcd import schmidt_bincer_count
 from kjuggle.juggling import count_sequences, enumerate_sequences

@@ -2,16 +2,23 @@
 element and in order.
 
 The references are the walks the memoized listings replaced: the juggling
-one recurses over `successors` and sorts each throw list, the partition one
-recurses over a per-node memo of (mult, residual) children, mult 1..bound
-then 0.  Each is written out here, sharing no walk code with the engines.
+one recurses over `successors` and sorts each throw list, the labeled one
+walks the joint state machine, every label's successors at every step, the
+partition one recurses over a per-node memo of (mult, residual) children,
+mult 1..bound then 0.  Each is written out here, sharing no walk code with
+the engines.
 """
 
 import random
 from itertools import product
 
+import pytest
+
+from kjuggle.errors import DomainError
 from kjuggle.juggling import (ALL_THROWS, JugglingSequence, Throw, ThrowSet,
-                              enumerate_sequences, normalize_state, successors)
+                              enumerate_labeled_sequences, enumerate_sequences,
+                              label_component, label_count, labeled_count,
+                              normalize_labeled, normalize_state, successors)
 from kjuggle.kostant import canonical_roots, enumerate_partitions
 from kjuggle.roots import (DOUBLE, MINUS, PLUS, ambient_dim, positive_roots,
                            root_to_weight)
@@ -46,6 +53,45 @@ def _reference_sequences(a, b, n, capacity=None, allowed=ALL_THROWS):
             rec(time + 1)
             del throws[len(throws) - len(combo):]
             states.pop()
+
+    rec(1)
+    return found
+
+
+def _reference_labeled(a, b, n):
+    a, b = normalize_labeled(a), normalize_labeled(b)
+    labels = max(label_count(a), label_count(b))
+    if a and b and label_count(a) != label_count(b):
+        raise DomainError("labeled states use different label counts")
+    comps_a = [label_component(a, j) if a else () for j in range(labels)]
+    comps_b = [label_component(b, j) if b else () for j in range(labels)]
+    if any(sum(u) != sum(v) for u, v in zip(comps_a, comps_b)):
+        return []
+    bounds = [max(len(u), n + len(v)) for u, v in zip(comps_a, comps_b)]
+    deadlines = [n + len(v) for v in comps_b]
+
+    def dead(state, time, deadline):
+        return any(x > 0 for x in state[deadline - time:])
+
+    if any(dead(u, 0, d) for u, d in zip(comps_a, deadlines)):
+        return []
+    found = []
+    path = [tuple(comps_a)]
+
+    def rec(time):
+        if time > n:
+            if path[-1] == tuple(comps_b):
+                found.append(list(path))
+            return
+        options = []
+        for j in range(labels):
+            options.append([new for new, _ in successors(path[-1][j], time, None, ALL_THROWS,
+                                                         bounds[j])
+                            if not dead(new, time, deadlines[j])])
+        for joint in product(*options):
+            path.append(joint)
+            rec(time + 1)
+            path.pop()
 
     rec(1)
     return found
@@ -188,3 +234,47 @@ def test_partitions_match_on_staircase_weights_and_edges():
     assert enumerate_partitions((-1, 1, 0), b3) == _reference_partitions((-1, 1, 0), b3) == []
     c4 = positive_roots("C", 4)
     assert enumerate_partitions((2, 0, 0, 2), c4) == _reference_partitions((2, 0, 0, 2), c4)
+
+
+def _random_labeled(rng, labels):
+    """A labeled state of up to three heights; label 0 sometimes holds a
+    magic ball at height two with balls in hand to cancel it."""
+    heights = rng.randint(0, 3)
+    rows = [[rng.randint(0, 2) for _ in range(labels)] for _ in range(heights)]
+    if labels and heights >= 2 and rng.random() < 0.3:
+        rows[0][0], rows[1][0] = rng.randint(1, 2), -1
+    return tuple(tuple(row) for row in rows)
+
+
+def test_labeled_sequences_match_the_joint_walk_in_order():
+    rng = random.Random(1729)
+    listed = nonempty = magic = mismatched = 0
+    for _ in range(500):
+        labels = rng.randint(0, 3)
+        a = _random_labeled(rng, labels)
+        b = _random_labeled(rng, labels)
+        if rng.random() < 0.5:  # move b's balls until each label's total matches
+            comps_a = [sum(label_component(a, j)) if a else 0 for j in range(labels)]
+            b = (tuple(comps_a),) if labels else ()
+        n = rng.randint(0, 4 if labels < 3 else 3)
+        got = enumerate_labeled_sequences(a, b, n)
+        assert got == _reference_labeled(a, b, n), (a, b, n)
+        if got:
+            assert len(got) == labeled_count(a, b, n)
+        listed += len(got)
+        nonempty += bool(got)
+        magic += bool(got) and any(x < 0 for row in a for x in row)
+        mismatched += normalize_labeled(a) != () and not got
+    assert nonempty > 100 and listed > 2000 and magic > 5 and mismatched > 50
+
+
+def test_labeled_sequences_on_edges():
+    for a, b in (((), ()), (((0, 0),), ()), (((1, 0),), ((1, 0),)), (((1, 1),), ((0, 2),)),
+                 (((2, 1), (-1, 0)), ((1, 1),)), (((1,),), ((2,),))):
+        for n in range(0, 5):
+            assert enumerate_labeled_sequences(a, b, n) == _reference_labeled(a, b, n)
+    assert enumerate_labeled_sequences((), (), 2) == [[(), (), ()]]
+    assert enumerate_labeled_sequences(((1, 1),), ((1, 1),), 0) == [[((1,), (1,))]]
+    for ref in (enumerate_labeled_sequences, _reference_labeled):
+        with pytest.raises(DomainError):
+            ref(((1, 0),), ((1, 0, 0),), 2)

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -146,3 +147,36 @@ def test_merge_into_an_unseen_throw_names_the_instance(monkeypatch):
     message = str(info.value)
     assert "left the sequence set" in message
     assert "a=(1,), b=(1,), n=4, capacity=1" in message
+
+
+def _brute_force_covers(poset):
+    """Every (lo, hi) pair where lo is hi with two chained throws
+    (t, h1), (t + h1, h2) merged into (t, h1 + h2), found over all pairs."""
+    counts = [Counter(seq.throws) for seq in poset.sequences]
+    covers = []
+    for lo, below in enumerate(counts):
+        for hi, above in enumerate(counts):
+            gained, lost = below - above, above - below
+            if sum(gained.values()) != 1 or sum(lost.values()) != 2 or len(lost) != 2:
+                continue
+            (merged,) = gained
+            first, second = sorted(lost)
+            if (first.time == merged.time and second.time == first.time + first.height
+                    and merged.height == first.height + second.height):
+                covers.append((lo, hi))
+    return tuple(covers)
+
+
+# The poset instances of the grid benchmark workload: its library queries and
+# its `poset charpoly` commands.
+GRID_POSETS = ([((1,), (1,), n, 1) for n in range(2, 6)]
+               + [(bits, (sum(bits),), len(bits), None)
+                  for length in range(1, 5) for bits in product((0, 1), repeat=length)]
+               + [((1, 1, 1), (3,), 3, None), ((1,), (1,), 4, 1), ((1, 0, 1), (2,), 3, None),
+                  ((1, 1), (2,), 2, None), ((1, 1, 0, 1), (3,), 4, None)])
+
+
+@pytest.mark.parametrize("a,b,n,capacity", GRID_POSETS)
+def test_covers_match_an_all_pairs_search(a, b, n, capacity):
+    poset = build_poset(a, b, n, capacity)
+    assert poset.covers == _brute_force_covers(poset)

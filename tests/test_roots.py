@@ -1,7 +1,12 @@
+import copy
+import pickle
+
 import pytest
 
+from kjuggle import roots as roots_module
 from kjuggle.errors import DomainError
-from kjuggle.roots import (MINUS, ambient_dim, edouble, eminus, eplus, esingle,
+from kjuggle.roots import (DOUBLE, MIN_RANK, MINUS, PLUS, SINGLE, Root,
+                           ambient_dim, edouble, eminus, eplus, esingle,
                            highest_root, parse_root, positive_roots,
                            root_to_weight, simple_root_coefficients,
                            weight_from_simple)
@@ -122,3 +127,78 @@ def test_root_kind_validation():
     with pytest.raises(DomainError):
         esingle(0)
     assert eminus(1, 2).kind == MINUS
+
+
+def _old_text(root):
+    """The text the root dataclass built on every call."""
+    if root.kind == MINUS:
+        return f"{root.i}-{root.j}"
+    if root.kind == PLUS:
+        return f"{root.i}+{root.j}"
+    if root.kind == SINGLE:
+        return f"{root.i}"
+    return f"2{root.i}"
+
+
+def test_roots_are_interned():
+    assert eminus(1, 2) is eminus(1, 2)
+    assert Root(MINUS, 1, 2) is eminus(1, 2)
+    assert Root(PLUS, 2, 5) is eplus(2, 5)
+    assert Root(SINGLE, 3) is esingle(3) is Root(SINGLE, 3, 0)
+    assert Root(DOUBLE, 4) is edouble(4)
+    assert Root(MINUS, 7.0, 9) is Root(MINUS, 7, 9)
+    assert eminus(True, 9.0) is eminus(1, 9)
+    assert type(eminus(8.0, 9).i) is int and str(eminus(8.0, 9)) == "8-9"
+    assert eminus(1, 2) is not eplus(1, 2)
+    assert len({eminus(1, 2), Root(MINUS, 1, 2), eplus(1, 2)}) == 2
+    assert all(a is b for a, b in zip(positive_roots("B", 4),
+                                      [Root(r.kind, r.i, r.j) for r in positive_roots("B", 4)]))
+
+
+def test_copies_and_pickles_are_the_same_root():
+    for root in (eminus(1, 2), eplus(3, 7), esingle(2), edouble(5)):
+        assert copy.copy(root) is root
+        assert copy.deepcopy(root) is root
+        assert copy.deepcopy([root, (root, 1)])[1][0] is root
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(root, protocol)) is root
+
+
+def test_roots_are_immutable():
+    root = eminus(1, 2)
+    with pytest.raises(AttributeError):
+        root.i = 3
+    with pytest.raises(AttributeError):
+        del root.j
+    assert root.i == 1 and root.j == 2 and str(root) == "1-2"
+
+
+def test_root_text_matches_the_old_format():
+    for lie_type, rank in (("A", 12), ("B", 11), ("C", 11), ("D", 11)):
+        for root in positive_roots(lie_type, rank):
+            text = _old_text(root)
+            assert str(root) == f"{root}" == text
+            assert format(root, ">6") == f"{root:>6}" == f"{text:>6}"
+            assert format(root, "") == text
+    assert repr(eminus(1, 2)) == "Root(kind='minus', i=1, j=2)"
+
+
+def test_parse_root_returns_the_interned_root():
+    # from rank 20 on, "2" followed by an index collides with e_20.. (ROADMAP item 7)
+    for lie_type in "ABCD":
+        for rank in range(MIN_RANK[lie_type], 20):
+            for root in positive_roots(lie_type, rank):
+                assert parse_root(str(root)) is root, (lie_type, rank, root)
+
+
+@pytest.mark.parametrize("kind,i,j", [
+    (MINUS, 2, 2), (MINUS, 3, 1), (PLUS, 0, 1), (SINGLE, 0, 0), (SINGLE, 1, 2),
+    (DOUBLE, -1, 0), ("cross", 1, 2), (MINUS, 1.5, 3), (MINUS, "1", 3),
+    (MINUS, 1, float("inf")), (MINUS, 1, float("nan")), (MINUS, None, 3),
+])
+def test_invalid_roots_raise_one_line_and_are_not_interned(kind, i, j):
+    before = dict(roots_module._INTERNED)
+    with pytest.raises(DomainError) as info:
+        Root(kind, i, j)
+    assert "\n" not in str(info.value)
+    assert roots_module._INTERNED == before
