@@ -10,7 +10,9 @@ neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
+from operator import lshift, sub
 
 from .errors import DomainError
 from .juggling import count_sequences, normalize_state
@@ -148,19 +150,74 @@ def bcd_sequence_partition(seq: BcdSequence) -> Partition:
     return make_partition(parts)
 
 
-def _reduction(lie_type: str, rank: int, mu, walked) -> int:
-    """Sum, over multiplicity configurations of the roots selected by
-    `walked`, of the number of e_i - e_j partitions of what remains.
+@lru_cache(maxsize=None)
+def _walked_steps(lie_type: str, rank: int, literal: bool, bits: int) -> tuple[int, ...]:
+    """The walked roots' prefix sums, packed bits-wide (field k at bit
+    bits * k), in canonical root order: the e_i - e_j roots when `literal`,
+    the others otherwise."""
+    return tuple(sum(g << bits * k for k, g in enumerate(accumulate(root_to_weight(r, rank))))
+                 for r in positive_roots(lie_type, rank) if (r.kind == MINUS) == literal)
 
-    The leaves go into one {residual: configurations} mapping, counted in a
-    single count_weighted call (exact: the count is linear in the mapping).
-    Each root's multiplicity is bounded so that no prefix sum of the
-    residual goes negative.  When every walked root has a positive
-    coordinate sum (the non-e_i - e_j roots of schmidt_bincer_count), a node
-    whose residual sums to zero is a leaf at once, with no frame per
-    remaining root; the e_i - e_j roots of the literal reading sum to zero,
-    so there the walk runs to the last root, and a weight with a nonzero sum
-    reaches no leaf at all and returns 0 before the walk.
+
+def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
+    """The {residual: configurations} mapping of the reduction's walk, for a
+    checked weight: a configuration is a multiset of walked roots, and its
+    residual is mu minus their sum.
+
+    A node packs the residual's prefix sums into one int, field k at bit
+    bits * k biased by half = 2^(bits-1), with half above every prefix sum
+    of mu and at least 2.  A walked root's prefix sums lie in 0..2, so one
+    copy is one subtraction that never borrows across fields, and a child
+    is kept iff every field keeps its top bit (no prefix sum below zero).
+    A node's children take copies of the roots after the node's own last
+    one, all copies of one root in a loop, so each multiset is one node and
+    the recursion is no deeper than the number of walked roots.  A node
+    whose top field equals half (coordinate sum zero) is a leaf; walked
+    roots of positive sum cannot extend it.
+    """
+    pre = list(accumulate(mu))
+    if min(pre) < 0 or literal and pre[-1] != 0:
+        return {}
+    bits = max(max(pre), 1).bit_length() + 1
+    half = 1 << bits - 1
+    mask = (1 << bits) - 1
+    tops = half * (((1 << bits * rank) - 1) // mask)  # half in every field
+    shifts = range(0, bits * rank, bits)
+    top = shifts[-1]
+    steps = _walked_steps(lie_type, rank, literal, bits)
+    count = len(steps)
+    root = tops + sum(map(lshift, pre, shifts))
+    packed = {root: 1} if root >> top == half else {}  # leaf node -> configurations
+
+    def rec(start, w):
+        for k in range(start, count):
+            step = steps[k]
+            child = w - step
+            while child & tops == tops:
+                if child >> top == half:
+                    packed[child] = packed.get(child, 0) + 1
+                    if not literal:
+                        break
+                rec(k + 1, child)
+                child -= step
+
+    if literal or not packed:
+        rec(0, root)
+    leaves = {}
+    for w, ways in packed.items():
+        sums = [(w >> s & mask) - half for s in shifts]
+        leaves[tuple(map(sub, sums, [0] + sums))] = ways
+    return leaves
+
+
+def _reduction(lie_type: str, rank: int, mu, literal: bool) -> int:
+    """Sum, over multiplicity configurations of the walked roots (the
+    e_i - e_j roots when `literal`, the others otherwise), of the number of
+    e_i - e_j partitions of what remains.
+
+    The walk's leaves go into one {residual: configurations} mapping,
+    counted in a single count_weighted call (exact: the count is linear in
+    the mapping); see `_leaves` for the walk.
     """
     if lie_type not in ("B", "C", "D"):
         raise DomainError("the reduction applies to types B, C, D")
@@ -168,42 +225,14 @@ def _reduction(lie_type: str, rank: int, mu, walked) -> int:
     mu = tuple(mu)
     if len(mu) != rank:
         raise DomainError(f"weight has length {len(mu)}, ambient dimension is {rank}")
-    all_roots = positive_roots(lie_type, rank)
-    minus_roots = tuple(r for r in all_roots if r.kind == MINUS)
-    weights = [root_to_weight(r, rank) for r in all_roots if walked(r)]
-    # A positive root's prefix sums are nonnegative, and `bound` never takes
-    # a residual prefix sum below zero, so after the check on mu they stay
-    # nonnegative and are carried down the walk by subtraction.
-    gpres = [list(accumulate(g)) for g in weights]
-    pre = list(accumulate(mu))
-    if pre[-1] != 0 and all(gpre[-1] == 0 for gpre in gpres):
-        return 0
-    steps = [[(k, g) for k, g in enumerate(gpre) if g > 0] for gpre in gpres]
-    settled = all(gpre[-1] > 0 for gpre in gpres)
-    leaves: dict = {}
-
-    def rec(idx, w, pre):
-        if idx == len(weights) or (settled and pre[-1] == 0):
-            if pre[-1] == 0:
-                leaves[w] = leaves.get(w, 0) + 1
-            return
-        weight, gpre = weights[idx], gpres[idx]
-        bound = min(pre[k] // g for k, g in steps[idx])
-        for mult in range(bound + 1):
-            rec(idx + 1, w, pre)
-            if mult < bound:
-                w = tuple(a - b for a, b in zip(w, weight))
-                pre = [p - g for p, g in zip(pre, gpre)]
-
-    if min(pre) >= 0:
-        rec(0, mu, pre)
-    return count_weighted(leaves, minus_roots)
+    minus_roots = tuple(r for r in positive_roots(lie_type, rank) if r.kind == MINUS)
+    return count_weighted(_leaves(lie_type, rank, mu, literal), minus_roots)
 
 
 def schmidt_bincer_count(lie_type: str, rank: int, mu) -> int:
     """Reduce a B/C/D partition count to a sum of type-A counts: the walk
     ranges over configurations of the roots outside the e_i - e_j family."""
-    return _reduction(lie_type, rank, mu, lambda r: r.kind != MINUS)
+    return _reduction(lie_type, rank, mu, literal=False)
 
 
 def schmidt_bincer_literal(lie_type: str, rank: int, mu) -> int:
@@ -211,7 +240,7 @@ def schmidt_bincer_literal(lie_type: str, rank: int, mu) -> int:
     e_i - e_j roots themselves.  Configurations of those roots preserve the
     coordinate sum, so any weight with nonzero sum yields 0; on type-A weights
     it overcounts instead."""
-    return _reduction(lie_type, rank, mu, lambda r: r.kind == MINUS)
+    return _reduction(lie_type, rank, mu, literal=True)
 
 
 def highest_root_juggling(lie_type: str, rank: int) -> int:

@@ -321,7 +321,8 @@ def _cmd_bcd(args) -> int:
         image = c_to_a_map(partition, args.rank)
         back = c_to_a_inverse(image, args.rank)
     if back != partition:
-        raise InvariantViolation("map roundtrip failed")
+        raise InvariantViolation(f"map roundtrip failed for --which {args.which} --rank "
+                                 f"{args.rank} on partition {_partition_str(partition)}")
     if args.json:
         _emit_json({"image": _partition_json(image), "roundtrip_ok": True})
     else:

@@ -9,6 +9,7 @@ polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 from .bijection import net_change_target
@@ -107,7 +108,8 @@ def perm_det_count(rank: int, allowed) -> int:
     p = permanent(m)
     d = determinant(n)
     if p != d:
-        raise InvariantViolation(f"permanent {p} != determinant {d} at rank {rank}")
+        raise InvariantViolation(f"permanent {p} != determinant {d} at rank {rank} over "
+                                 f"{' '.join(map(str, canonical_roots(allowed)))}")
     return p
 
 
@@ -161,7 +163,22 @@ def dominating_compositions(total: int, pattern):
     yield from rec(0, 0)
 
 
-def _lidskii_terms(mu):
+@lru_cache(maxsize=None)
+def _lidskii_table(r: int) -> tuple:
+    """The (composition, inner count) terms of rank r with a nonzero inner
+    count; neither depends on the weight, so they are built once per rank."""
+    pattern = tuple(range(r - 1, 0, -1))
+    terms = []
+    for j in dominating_compositions(comb(r, 2), pattern):
+        inner = count_sequences(
+            normalize_state(tuple(j[k] - (r - 1 - k) for k in range(r - 2))),
+            (1 - j[r - 2],), r - 2)
+        if inner:
+            terms.append((j, inner))
+    return tuple(terms)
+
+
+def _lidskii_terms(mu) -> tuple:
     mu = tuple(mu)
     r = len(mu) - 1
     if r < 2:
@@ -170,12 +187,7 @@ def _lidskii_terms(mu):
         raise DomainError("weight coordinates must sum to zero")
     if any(x < 0 for x in mu[:r]):
         raise DomainError("the expansion needs nonnegative leading coordinates")
-    pattern = tuple(range(r - 1, 0, -1))
-    for j in dominating_compositions(comb(r, 2), pattern):
-        inner = count_sequences(
-            normalize_state(tuple(j[k] - (r - 1 - k) for k in range(r - 2))),
-            (1 - j[r - 2],), r - 2)
-        yield j, inner
+    return _lidskii_table(r)
 
 
 def lidskii_count(mu, variant: str = "both") -> int:
@@ -189,8 +201,6 @@ def lidskii_count(mu, variant: str = "both") -> int:
     binomial_total = 0
     multiset_total = 0
     for j, inner in _lidskii_terms(mu):
-        if inner == 0:
-            continue
         if variant in ("binomial", "both"):
             w = 1
             for k in range(r - 1):
@@ -437,6 +447,6 @@ def ehrhart_fit(mu, extra: int = 2) -> tuple[Fraction, ...]:
         predicted = poly_eval(coeffs, t)
         actual = dilate_count(t)
         if predicted != actual:
-            raise InvariantViolation(
-                f"interpolant predicts {predicted} at t={t}, count is {actual}")
+            raise InvariantViolation(f"weight {list(mu)}: interpolant predicts "
+                                     f"{predicted} at t={t}, count is {actual}")
     return coeffs

@@ -1,9 +1,10 @@
 import random
 import time
+from itertools import accumulate
 
 import pytest
 
-from kjuggle.bcd import (BcdState, b_to_a_inverse, b_to_a_map,
+from kjuggle.bcd import (BcdState, _leaves, b_to_a_inverse, b_to_a_map,
                          bcd_sequence_partition, bcd_successors, c_to_a_inverse,
                          c_to_a_map, count_highest_root_bcd,
                          enumerate_bcd_sequences, schmidt_bincer_count,
@@ -11,7 +12,7 @@ from kjuggle.bcd import (BcdState, b_to_a_inverse, b_to_a_map,
 from kjuggle.errors import DomainError
 from kjuggle.kostant import (count_partitions, enumerate_partitions,
                              make_partition, partition_weight)
-from kjuggle.roots import (edouble, eminus, eplus, esingle, highest_root,
+from kjuggle.roots import (MINUS, edouble, eminus, eplus, esingle, highest_root,
                            positive_roots, root_to_weight, simple_root)
 
 
@@ -113,7 +114,8 @@ def test_schmidt_bincer_matches_oracle_on_random_weights():
 
 
 def test_schmidt_bincer_zero_weight():
-    assert schmidt_bincer_count("D", 4, (0, 0, 0, 0)) == 1
+    for lie_type, rank in (("B", 2), ("C", 3), ("D", 4)):
+        assert schmidt_bincer_count(lie_type, rank, (0,) * rank) == 1
 
 
 def test_schmidt_bincer_rejects_type_a():
@@ -160,6 +162,86 @@ def test_literal_reduction_on_zero_sum_weights(lie_type):
         assert schmidt_bincer_literal(lie_type, rank, (0,) * rank) == 1
         for mu, value in LITERAL_ZERO_SUM[rank].items():
             assert schmidt_bincer_literal(lie_type, rank, mu) == value, (lie_type, mu)
+
+
+def _reference_leaves(lie_type, rank, mu, literal):
+    """The per-root walk the configuration tree replaced: for each walked
+    root in turn, every multiplicity that keeps the residual's prefix sums
+    nonnegative.  A zero-sum residual is a leaf once every root is decided,
+    or at once when every walked root has a positive sum."""
+    weights = [root_to_weight(r, rank) for r in positive_roots(lie_type, rank)
+               if (r.kind == MINUS) == literal]
+    gpres = [list(accumulate(g)) for g in weights]
+    pre = list(accumulate(mu))
+    if pre[-1] != 0 and all(gpre[-1] == 0 for gpre in gpres):
+        return {}
+    steps = [[(k, g) for k, g in enumerate(gpre) if g > 0] for gpre in gpres]
+    settled = all(gpre[-1] > 0 for gpre in gpres)
+    leaves = {}
+
+    def rec(idx, w, pre):
+        if idx == len(weights) or (settled and pre[-1] == 0):
+            if pre[-1] == 0:
+                leaves[w] = leaves.get(w, 0) + 1
+            return
+        weight, gpre = weights[idx], gpres[idx]
+        bound = min(pre[k] // g for k, g in steps[idx])
+        for mult in range(bound + 1):
+            rec(idx + 1, w, pre)
+            if mult < bound:
+                w = tuple(a - b for a, b in zip(w, weight))
+                pre = [p - g for p, g in zip(pre, gpre)]
+
+    if min(pre) >= 0:
+        rec(0, tuple(mu), pre)
+    return leaves
+
+
+def _seeded_weights(rng, lie_type, rank, count):
+    """Sums of a few positive roots, some shifted off the root lattice, and
+    signed weights, which may have negative prefix sums."""
+    roots = positive_roots(lie_type, rank)
+    for _ in range(count):
+        if rng.random() < 0.3:
+            yield tuple(rng.randint(-2, 3) for _ in range(rank))
+            continue
+        mu = [0] * rank
+        for _ in range(rng.randint(0, 4)):
+            for k, x in enumerate(root_to_weight(rng.choice(roots), rank)):
+                mu[k] += x
+        if rng.random() < 0.25:
+            mu[rng.randrange(rank)] += 1
+        yield tuple(mu)
+
+
+@pytest.mark.parametrize("lie_type", "BCD")
+def test_walk_leaves_match_the_per_root_walk(lie_type):
+    rng = random.Random(f"leaves-{lie_type}")
+    for rank in range({"B": 2, "C": 3, "D": 4}[lie_type], 7):
+        for mu in _seeded_weights(rng, lie_type, rank, 12):
+            for literal in (False, True):
+                assert (_leaves(lie_type, rank, mu, literal)
+                        == _reference_leaves(lie_type, rank, mu, literal)), (rank, mu, literal)
+
+
+@pytest.mark.parametrize("lie_type", "BCD")
+def test_literal_walk_leaves_on_zero_sum_weights(lie_type):
+    rng = random.Random(f"zero-sum-{lie_type}")
+    for rank in range({"B": 2, "C": 3, "D": 4}[lie_type], 6):
+        for _ in range(6):
+            head = [rng.randint(-1, 2) for _ in range(rank - 1)]
+            mu = tuple(head) + (-sum(head),)
+            assert _leaves(lie_type, rank, mu, True) == _reference_leaves(lie_type, rank, mu, True)
+
+
+def test_long_single_root_chains_stay_shallow():
+    # a thousand copies of one root: the walk takes further copies of a root
+    # in a loop, so its recursion is bounded by the number of walked roots
+    for lie_type, rank, mu, literal in (("B", 2, (0, 1000), 0), ("B", 2, (1000, -1000), 1001),
+                                        ("C", 3, (0, 0, 2000), 0), ("D", 4, (0, 0, 1000, 1000), 0)):
+        oracle = count_partitions(mu, positive_roots(lie_type, rank))
+        assert schmidt_bincer_count(lie_type, rank, mu) == oracle == 1, (lie_type, mu)
+        assert schmidt_bincer_literal(lie_type, rank, mu) == literal, (lie_type, mu)
 
 
 class TestHighestRootMaps:

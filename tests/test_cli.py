@@ -246,6 +246,17 @@ def test_bcd_map(tmp_path, capsys):
     assert code == 0 and out.strip() == "1-4 2-3"
 
 
+def test_bcd_map_violation_names_the_instance(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "part.txt"
+    path.write_text("1-2\n2\n2\n")
+    monkeypatch.setattr(cli, "b_to_a_inverse", lambda image, rank: image)
+    code, out, err = run(capsys, "bcd", "map", "--which", "b2a", "--rank", "2",
+                         "--partition", str(path))
+    assert code == 1 and out == ""
+    assert err == ("internal invariant violated: map roundtrip failed for --which b2a "
+                   "--rank 2 on partition 1-2 2 2\n")
+
+
 def test_poset_charpoly_and_dot(capsys):
     code, out, _ = run(capsys, "poset", "charpoly", "--initial", "1,1,1",
                        "--terminal", "3", "--length", "3", "--json")

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from kjuggle import closedforms
 from kjuggle.closedforms import (GF_ROWS, catalan,
                                  catalan_product_check, closed_form_check,
                                  closed_form_value, count_matrices,
@@ -14,7 +15,7 @@ from kjuggle.closedforms import (GF_ROWS, catalan,
                                  lagrange_interpolate, lidskii_count,
                                  multiset_coefficient, perm_det_count,
                                  permanent, poly_eval, surd_value)
-from kjuggle.errors import DomainError
+from kjuggle.errors import DomainError, InvariantViolation
 from kjuggle.kostant import count_partitions
 from kjuggle.roots import eminus, positive_roots
 
@@ -41,6 +42,12 @@ class TestPermDet:
     def test_rejects_foreign_roots(self):
         with pytest.raises(DomainError):
             perm_det_count(3, [eminus(1, 5)])
+
+    def test_violation_names_the_root_set(self, monkeypatch):
+        monkeypatch.setattr(closedforms, "determinant", lambda matrix: -1)
+        with pytest.raises(InvariantViolation) as info:
+            perm_det_count(3, [eminus(2, 3), eminus(1, 4), eminus(1, 2), eminus(3, 4)])
+        assert str(info.value) == "permanent 2 != determinant -1 at rank 3 over 1-2 1-4 2-3 3-4"
 
     def test_permanent_and_determinant_basics(self):
         assert permanent([[1, 1], [1, 1]]) == 2
@@ -111,11 +118,28 @@ class TestLidskii:
         assert lidskii_count(mu, "binomial") == oracle
         assert lidskii_count(mu, "multiset") == oracle
 
+    def test_equals_the_partition_count_on_a_cold_and_a_warm_table(self):
+        # the composition terms are built once per rank; every variant must
+        # agree with the partition count on the call that builds them and after
+        rng = random.Random(13)
+        for r in range(2, 6):
+            for _ in range(4):
+                head = [rng.randint(0, 2) for _ in range(r)]
+                mu = tuple(head) + (-sum(head),)
+                oracle = count_partitions(mu, positive_roots("A", r))
+                for variant in ("binomial", "multiset", "both"):
+                    closedforms._lidskii_table.cache_clear()
+                    assert lidskii_count(mu, variant) == oracle, (mu, variant, "cold")
+                    assert lidskii_count(mu, variant) == oracle, (mu, variant, "warm")
+
     def test_rejects_negative_entries_and_bad_variant(self):
-        with pytest.raises(DomainError):
-            lidskii_count((-1, 1, 0))
-        with pytest.raises(DomainError):
-            lidskii_count((1, 0, -1), "fancy")
+        lidskii_count((1, 0, -1))  # the rank-2 terms are built
+        for _ in range(2):
+            for mu in ((-1, 1, 0), (1, 1, -1), (1, -1), (2, 0, -1, -1, 0, -1, 1)):
+                with pytest.raises(DomainError):
+                    lidskii_count(mu)
+            with pytest.raises(DomainError):
+                lidskii_count((1, 0, -1), "fancy")
 
     def test_generalized_binomial(self):
         assert generalized_binomial(-1, 1) == -1
@@ -237,6 +261,12 @@ class TestEhrhart:
         coeffs = ehrhart_fit((1, 1, 1, -3), 2)
         assert coeffs == (Fraction(1), Fraction(17, 6), Fraction(5, 2), Fraction(2, 3))
         assert poly_eval(coeffs, 1) == 7
+
+    def test_violation_names_the_weight(self, monkeypatch):
+        monkeypatch.setattr(closedforms, "poly_eval", lambda coeffs, x: -1)
+        with pytest.raises(InvariantViolation) as info:
+            ehrhart_fit((2, 1, -3), 1)
+        assert str(info.value) == "weight [2, 1, -3]: interpolant predicts -1 at t=3, count is 7"
 
     def test_rejects_bad_weights(self):
         with pytest.raises(DomainError):

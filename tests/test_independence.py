@@ -1,6 +1,8 @@
 """The partition side and the juggling side are checked against each other,
 so neither may borrow from the other: kostant.py and juggling.py import
-nothing from each other, and no listing function calls a count."""
+nothing from each other, and no listing function calls a count.  The B/C/D
+reduction is checked against the direct count, so it reaches no
+count_partitions call and counts its leaves in one place only."""
 
 import ast
 from pathlib import Path
@@ -38,6 +40,31 @@ def _counts_called_by_listings(tree) -> list:
     return calls
 
 
+def _called_names(node) -> set:
+    """The names called anywhere inside node, as plain names or attributes."""
+    return {inner.func.id if isinstance(inner.func, ast.Name) else getattr(inner.func, "attr", "")
+            for inner in ast.walk(node) if isinstance(inner, ast.Call)}
+
+
+def _reached_functions(tree, start: str) -> set:
+    """The module's top-level functions that a call to start can reach."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo.extend(_called_names(functions[name]))
+    return reached
+
+
+def _functions_naming(tree, name: str) -> set:
+    """The top-level functions whose bodies mention name."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(inner, ast.Name) and inner.id == name
+                    for inner in ast.walk(node))}
+
+
 def _tree(module: str):
     return ast.parse((PACKAGE / f"{module}.py").read_text())
 
@@ -52,6 +79,15 @@ def test_listings_call_no_count():
         assert _counts_called_by_listings(_tree(module)) == [], module
 
 
+def test_the_reduction_reaches_no_direct_count():
+    tree = _tree("bcd")
+    reached = _reached_functions(tree, "schmidt_bincer_count")
+    assert {"_reduction", "_leaves"} <= reached
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [f for f in sorted(reached) if "count_partitions" in _called_names(functions[f])] == []
+    assert _functions_naming(tree, "count_weighted") == {"_reduction"}
+
+
 def test_the_guards_see_a_planted_breach():
     planted = ast.parse(
         "from .juggling import count_sequences\n"
@@ -63,3 +99,13 @@ def test_the_guards_see_a_planted_breach():
     assert {"juggling", "kostant"} <= _imported_modules(planted)
     assert sorted(_counts_called_by_listings(planted)) == [
         ("enumerate_things", "count_partitions"), ("enumerate_things", "count_sequences")]
+    planted = ast.parse(
+        "def top(x):\n"
+        "    return middle(x)\n"
+        "def middle(x):\n"
+        "    return kostant.count_partitions(x, count_weighted)\n"
+        "def unrelated(x):\n"
+        "    return count_weighted({x: 1}, ())\n")
+    assert _reached_functions(planted, "top") == {"top", "middle"}
+    assert "count_partitions" in _called_names(planted.body[1])
+    assert _functions_naming(planted, "count_weighted") == {"middle", "unrelated"}
