@@ -43,9 +43,6 @@ class BcdState:
         return not self.standard and not self.reflected
 
 
-EMPTY_BCD = BcdState((), ())
-
-
 def bcd_successors(lie_type: str, state: BcdState, time: int, max_landing: int):
     """All (state, events) pairs reachable in one step.
 
@@ -95,10 +92,6 @@ def bcd_successors(lie_type: str, state: BcdState, time: int, max_landing: int):
 class BcdSequence:
     states: tuple
     events: tuple  # (time, kind, height), sorted
-
-    @property
-    def length(self) -> int:
-        return len(self.states) - 1
 
 
 def enumerate_bcd_sequences(lie_type: str, initial: BcdState, n: int):

@@ -236,6 +236,8 @@ def _cmd_js(args) -> int:
 
 def _cmd_bijection(args) -> int:
     if args.action == "roundtrip":
+        if args.weight_eps is None:
+            raise DomainError("bijection roundtrip needs --weight-eps")
         weight = _parse_ints(args.weight_eps, "weight")
         allowed = _load_roots(args.roots) if args.roots else None
         report = verify_correspondence(weight, allowed, args.capacity)
@@ -259,6 +261,10 @@ def _cmd_bijection(args) -> int:
                 print(f"capacity-restricted partitions: {report.capacity_count}")
             print("ok" if report.ok else f"FAILED: {report.first_mismatch}")
         return 0 if report.ok else 1
+    for flag, value in (("--partition FILE", args.partition), ("--initial", args.initial),
+                        ("--length", args.length)):
+        if value is None:
+            raise DomainError(f"bijection to-juggling needs {flag}")
     partition = _load_partition(args.partition)
     initial = _parse_ints(args.initial, "initial state")
     seq = gamma(partition, initial, args.length)

@@ -12,10 +12,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .bijection import net_change_target
+from .bijection import net_change_target, time_bounded_roots
 from .errors import DomainError, InvariantViolation
 from .juggling import count_sequences, normalize_state
-from .kostant import canonical_roots, count_capacity_restricted, count_partitions
+from .kostant import canonical_roots, count_capacity_restricted
 from .roots import MINUS, eminus, positive_roots
 
 
@@ -279,69 +279,55 @@ def gf_check(row_id: str, upto: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Conjugate-surd corollaries, evaluated through their integer recurrences.
-# Seeds come from the juggling engine; oracle checks go through the
-# partition engine, so the two sides stay independent.  In every form the state's
-# length plus the sequence length is r + 1, the ambient dimension of A_r.
+# Conjugate-surd corollaries.  Each counts the periodic sequences of a GF
+# row's state at the row's capacity, so its value at rank r is the row's
+# coefficient of x^n, n = r + 1 - len(state): the state's length plus the
+# sequence length is r + 1, the ambient dimension of A_r.  The oracle check
+# goes through the partition engine, so the two sides stay independent.
 
-def _c45_oracle(r):
-    return count_partitions(net_change_target((2,), (2,), r), positive_roots("A", r))
-
-
-def _periodic_direct(state, short: int):
-    """Periodic sequences of the state of length r - short, capacity 2."""
-    return lambda r: count_sequences(state, state, r - short, 2)
-
-
-def _capacity_oracle(state, short: int):
-    """The same count on the partition side: throws start before r - short."""
-    def oracle(r):
-        mu = net_change_target(state, state, r - short)
-        lam = [x for x in positive_roots("A", r) if x.i <= r - short]
-        return count_capacity_restricted(mu, lam, state, 2)
-    return oracle
-
-
-# which -> (min rank, seed ranks, recurrence (p, q) for a_r = p a_{r-1} + q a_{r-2},
-#           direct counter, oracle counter, exact surd parameters)
-# surd parameters: (k, u, v, shift, form, c, d, denom maker); the closed form is
-#   ((c + d sqrt k)(u + v sqrt k)^(r-shift) +/- conjugate) / denom(r).
+# which -> (min rank, GF row, exact surd parameters (k, u, v, form, c, d,
+#           denom maker)); the closed form is
+#   ((c + d sqrt k)(u + v sqrt k)^n +/- conjugate) / denom(r).
 CLOSED_FORMS = {
-    "c45": (2, (2, 3), (5, -5), _periodic_direct((2,), 0), _c45_oracle,
-            (5, 5, 1, 0, "plus", 1, 0, lambda r: 5 * 2 ** r)),
-    "c46": (2, (2, 3, 4), (5, -5), _periodic_direct((1, 1), 1), _capacity_oracle((1, 1), 1),
-            (5, 5, 1, 1, "minus", 3, 1, lambda r: 5 * 2 ** r)),
-    "c47": (3, (3, 4), (8, -13), _periodic_direct((2, 1), 1), _capacity_oracle((2, 1), 1),
-            (3, 4, 1, 1, "minus", 9, 14, lambda r: 169)),
-    "c48": (5, (5, 6), (8, -13), _periodic_direct((1, 1, 1), 2),
-            _capacity_oracle((1, 1, 1), 2),
-            (3, 4, 1, 2, "plus", 9, 14, lambda r: 338)),
+    "c45": (2, "2|2", (5, 5, 1, "plus", 1, 0, lambda r: 5 * 2 ** r)),
+    "c46": (2, "11|2", (5, 5, 1, "minus", 3, 1, lambda r: 5 * 2 ** r)),
+    "c47": (3, "21|2", (3, 4, 1, "minus", 9, 14, lambda r: 169)),
+    "c48": (5, "111|2", (3, 4, 1, "plus", 9, 14, lambda r: 338)),
 }
 
 ORACLE_MAX_RANK = 6  # closed_form_check brute-forces ranks up to this one
 
 
-def closed_form_value(which: str, r: int) -> int:
-    """Recurrence value of the closed form, seeded from direct counts."""
+def _closed_form(which: str):
     try:
-        min_r, seed_rs, (p, q), direct, _, _ = CLOSED_FORMS[which]
+        return CLOSED_FORMS[which]
     except KeyError:
         raise DomainError(f"unknown closed form {which!r}") from None
+
+
+def _length(row_id: str, r: int) -> int:
+    """The sequence length n of the row's periodic count at rank r."""
+    return r + 1 - len(GF_ROWS[row_id][0])
+
+
+def closed_form_value(which: str, r: int) -> int:
+    """The closed form's value: its GF row's coefficient of x^n."""
+    min_r, row, _ = _closed_form(which)
     if r < min_r:
         raise DomainError(f"{which} requires rank >= {min_r}")
-    values = {s: direct(s) for s in seed_rs}
-    top = max(seed_rs)
-    for s in range(top + 1, r + 1):
-        values[s] = p * values[s - 1] + q * values[s - 2]
-    return values[r]
+    return gf_coefficients(row, _length(row, r))[-1]
 
 
 def closed_form_check(which: str, r: int) -> int:
-    """Recurrence value, asserted equal to the partition-side oracle for
-    ranks small enough to brute force."""
+    """The value, asserted equal to the capacity-restricted partition count
+    (throws start at times 1..n) for ranks small enough to brute force."""
     value = closed_form_value(which, r)
     if r <= ORACLE_MAX_RANK:
-        oracle = CLOSED_FORMS[which][4](r)
+        row = CLOSED_FORMS[which][1]
+        state, capacity, _, _ = GF_ROWS[row]
+        n = _length(row, r)
+        oracle = count_capacity_restricted(net_change_target(state, state, n),
+                                           time_bounded_roots(n, r + 1), state, capacity)
         if value != oracle:
             raise InvariantViolation(f"{which} at rank {r}: recurrence {value} != oracle {oracle}")
     return value
@@ -356,13 +342,10 @@ def _surd_power(u: int, v: int, k: int, p: int) -> tuple[int, int]:
 
 
 def surd_value(which: str, r: int) -> Fraction:
-    """Exact value of the conjugate-surd expression; below the range the
-    recurrence is seeded on it can disagree with the true counts."""
-    try:
-        _, _, _, _, _, (k, u, v, shift, form, c, d, denom) = CLOSED_FORMS[which]
-    except KeyError:
-        raise DomainError(f"unknown closed form {which!r}") from None
-    a, b = _surd_power(u, v, k, r - shift)
+    """Exact value of the conjugate-surd expression; below the closed form's
+    min rank it can disagree with the true counts."""
+    _, row, (k, u, v, form, c, d, denom) = _closed_form(which)
+    a, b = _surd_power(u, v, k, _length(row, r))
     if form == "plus":
         numerator = 2 * (c * a + d * k * b)
     else:

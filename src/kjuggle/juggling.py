@@ -80,21 +80,6 @@ class JugglingSequence:
     states: tuple
     throws: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def initial(self) -> State:
-        return self.states[0]
-
-    @property
-    def terminal(self) -> State:
-        return self.states[-1]
-
-    def throw_count(self) -> int:
-        return len(self.throws)
-
 
 def _apply_throws(state: State, heights) -> State:
     """One time step: drop every entry a height, then add the thrown balls."""
@@ -268,6 +253,8 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
     a, b = normalize_state(a), normalize_state(b)
+    if capacity is not None and capacity < 1:
+        raise DomainError("capacity must be a positive integer")
     if state_total(a) != state_total(b):
         return []
     if capacity is not None and any(x > capacity for x in a):

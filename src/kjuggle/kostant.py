@@ -89,13 +89,11 @@ def _subtract(w, root: Root, mult: int):
     return tuple(out)
 
 
-def _check_ambient(target, roots):
-    ambient = len(target)
+def _check_ambient(ambient: int, roots) -> None:
     for root in roots:
         top = root.j if root.kind in (MINUS, PLUS) else root.i
         if top > ambient:
             raise DomainError(f"root {root} does not fit in ambient dimension {ambient}")
-    return ambient
 
 
 def _sweep(targets, roots, ceiling=None) -> int:
@@ -221,8 +219,8 @@ def count_weighted(targets, allowed) -> int:
     and any other only lowers nonnegative coordinates.
     """
     roots = canonical_roots(allowed)
-    for target in targets:
-        _check_ambient(target, roots)
+    for ambient in dict.fromkeys(map(len, targets)):  # first seen first: the same error
+        _check_ambient(ambient, roots)
     return _sweep(targets, roots)
 
 
@@ -239,7 +237,7 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
     each memo node is expanded once, and the walk follows live entries only."""
     target = tuple(target)
     roots = canonical_roots(allowed)
-    _check_ambient(target, roots)
+    _check_ambient(len(target), roots)
     if not any(target):
         return [()]
     n = len(roots)
@@ -305,7 +303,8 @@ def count_capacity_restricted(target, allowed, initial, capacity: int) -> int:
     """
     target = tuple(target)
     roots = canonical_roots(allowed)
-    ambient = _check_ambient(target, roots)
+    ambient = len(target)
+    _check_ambient(ambient, roots)
     if roots and roots[-1].kind != MINUS:  # canonical order lists e_i - e_j roots first
         raise DomainError("capacity-restricted counting is defined only for e_i - e_j roots")
     if capacity < 1:

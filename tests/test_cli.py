@@ -377,27 +377,105 @@ JS_CAPACITIES = [None, "1", "2", "3", "0", "-2", "y"]
 JS_THROWS = [None, "heights=1,2", "heights=2", "heights=0", "heights=", "foo"]
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(initial=st.sampled_from(JS_STATES), terminal=st.sampled_from(JS_STATES),
-       length=st.sampled_from(JS_LENGTHS), capacity=st.sampled_from(JS_CAPACITIES),
-       throws=st.sampled_from(JS_THROWS),
-       as_json=st.booleans())
-def test_js_count_inputs_end_cleanly(initial, terminal, length, capacity, throws, as_json):
-    argv = ["js", "count", "--initial", initial, "--terminal", terminal]
-    for flag, value in (("--length", length), ("--capacity", capacity), ("--throws", throws)):
-        if value is not None:
-            argv += [flag, value]
+def _ends_cleanly(argv, as_json):
+    """Run argv and assert that it ends cleanly: no traceback; status 0 with
+    nothing on stderr (and one line of JSON with --json), or status 1 or 2
+    with one error line on stderr and nothing on stdout."""
     if as_json:
-        argv.append("--json")
+        argv = argv + ["--json"]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = dispatch(argv)
     lines = err.getvalue().splitlines()
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        assert lines == [] and out.getvalue().count("\n") == 1
+        assert lines == []
+        if as_json:
+            assert out.getvalue().count("\n") == 1
     elif code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: ") and out.getvalue() == ""
     else:
         assert code == 2 and out.getvalue() == ""
-        assert len(lines) == 1 and lines[0].startswith("kjuggle js: error: ")
+        assert len(lines) == 1 and lines[0].startswith(f"kjuggle {argv[0]}: error: ")
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(initial=st.sampled_from(JS_STATES), terminal=st.sampled_from(JS_STATES),
+       length=st.sampled_from(JS_LENGTHS), capacity=st.sampled_from(JS_CAPACITIES),
+       throws=st.sampled_from(JS_THROWS),
+       as_json=st.booleans())
+def test_js_count_inputs_end_cleanly(initial, terminal, length, capacity, throws, as_json):
+    """js count and js enum end alike on the same inputs: the same status
+    and error, and on success as many sequences listed as counted."""
+    flags = ["--initial", initial, "--terminal", terminal]
+    for flag, value in (("--length", length), ("--capacity", capacity), ("--throws", throws)):
+        if value is not None:
+            flags += [flag, value]
+    code, count_out, err = _ends_cleanly(["js", "count"] + flags, as_json)
+    enum_code, enum_out, enum_err = _ends_cleanly(["js", "enum"] + flags, as_json)
+    assert (enum_code, enum_err) == (code, err)
+    if code == 0:
+        assert count_out.count("\n") == 1
+        if as_json:
+            assert json.loads(enum_out)["count"] == json.loads(count_out)["count"]
+        else:
+            assert enum_out.splitlines()[-1] == f"# {count_out.strip()} sequences"
+
+
+# Partition files, by name; "" leaves the flag out, "missing" names no file.
+PARTITION_FILES = {"a3": "1-3\n2-4\n", "a3b": "1-2 1\n2-3 1\n2-4 1\n", "b3": "1+2\n",
+                   "b4": "1\n2\n", "c3": "21\n", "c3b": "1-2\n1+2\n", "bad": "zz\n",
+                   "zero": "1-2 0\n", "empty": ""}
+PARTITIONS = ["", "missing"] + sorted(PARTITION_FILES)
+CLI_WEIGHTS = [None, "1,1,-1,-1", "2,0,-1,-1", "1,-1", "1,1,1", "0", "", "x"]
+CLI_RANKS = ["-1", "0", "1", "2", "3", "4", "z"]
+
+
+@pytest.fixture(scope="module")
+def partition_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("partitions")
+    for name, text in PARTITION_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+def _partition_flag(partition_dir, name) -> list:
+    return ["--partition", str(partition_dir / name)] if name else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(action=st.sampled_from(("roundtrip", "to-juggling")),
+       weight=st.sampled_from(CLI_WEIGHTS), capacity=st.sampled_from(JS_CAPACITIES),
+       roots=st.sampled_from(["", "a3", "b3", "bad", "missing"]),
+       partition=st.sampled_from(PARTITIONS), initial=st.sampled_from(JS_STATES + [None]),
+       length=st.sampled_from(JS_LENGTHS), as_json=st.booleans())
+def test_bijection_inputs_end_cleanly(partition_dir, action, weight, capacity, roots,
+                                      partition, initial, length, as_json):
+    argv = ["bijection", action]
+    for flag, value in (("--weight-eps", weight), ("--capacity", capacity),
+                        ("--initial", initial), ("--length", length)):
+        if value is not None:
+            argv += [flag, value]
+    if roots:
+        argv += ["--roots", str(partition_dir / roots)]
+    _ends_cleanly(argv + _partition_flag(partition_dir, partition), as_json)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(action=st.sampled_from(("count", "map")),
+       lie_type=st.sampled_from([None, "A", "B", "C", "D", "E"]),
+       rank=st.sampled_from(CLI_RANKS),
+       weight=st.sampled_from([None, ("--highest-root",)]
+                              + [("--weight-eps", w) for w in CLI_WEIGHTS[1:]]
+                              + [("--weight-alpha", w) for w in ("1,1", "1,2,1", "1,-1")]),
+       method=st.sampled_from([None, "oracle", "juggling", "schmidt-bincer", "all"]),
+       which=st.sampled_from([None, "b2a", "c2a"]),
+       partition=st.sampled_from(PARTITIONS), as_json=st.booleans())
+def test_bcd_inputs_end_cleanly(partition_dir, action, lie_type, rank, weight, method, which,
+                                partition, as_json):
+    argv = ["bcd", action, "--rank", rank] + list(weight or ())
+    for flag, value in (("--type", lie_type), ("--method", method), ("--which", which)):
+        if value is not None:
+            argv += [flag, value]
+    _ends_cleanly(argv + _partition_flag(partition_dir, partition), as_json)

@@ -15,7 +15,9 @@ from kjuggle.closedforms import (GF_ROWS, catalan,
                                  lagrange_interpolate, lidskii_count,
                                  multiset_coefficient, perm_det_count,
                                  permanent, poly_eval, surd_value)
+from kjuggle.bijection import net_change_target
 from kjuggle.errors import DomainError, InvariantViolation
+from kjuggle.juggling import count_sequences
 from kjuggle.kostant import count_partitions
 from kjuggle.roots import eminus, positive_roots
 
@@ -200,6 +202,40 @@ class TestClosedForms:
             for r, expected in table.items():
                 assert closed_form_check(which, r) == expected
 
+    # The closed forms' earlier evaluation: a_r = p a_(r-1) + q a_(r-2) from
+    # direct periodic counts of the state (capacity 2) at the seed ranks,
+    # the first of them the min rank.
+    SEEDED = {
+        "c45": ((2,), (2, 3), (5, -5)),
+        "c46": ((1, 1), (2, 3, 4), (5, -5)),
+        "c47": ((2, 1), (3, 4), (8, -13)),
+        "c48": ((1, 1, 1), (5, 6), (8, -13)),
+    }
+
+    def test_values_follow_the_seeded_recurrences(self):
+        for which, (state, seeds, (p, q)) in self.SEEDED.items():
+            values = {r: count_sequences(state, state, r + 1 - len(state), 2) for r in seeds}
+            for r in range(max(seeds) + 1, 61):
+                values[r] = p * values[r - 1] + q * values[r - 2]
+            for r in range(seeds[0], 61):
+                assert closed_form_value(which, r) == values[r], (which, r)
+            with pytest.raises(DomainError, match=f"^{which} requires rank >= {seeds[0]}$"):
+                closed_form_value(which, seeds[0] - 1)
+
+    def test_c45_oracle_is_the_unrestricted_count(self, monkeypatch):
+        # two balls never exceed capacity 2, and every A_r root starts by time r
+        seen = []
+        restricted = closedforms.count_capacity_restricted
+        monkeypatch.setattr(closedforms, "count_capacity_restricted",
+                            lambda *args: seen.append((args, restricted(*args))) or seen[-1][1])
+        for r in range(2, 7):
+            value = closed_form_check("c45", r)
+            (mu, roots, state, capacity), oracle = seen.pop()
+            assert (state, capacity) == ((2,), 2)
+            assert set(roots) == set(positive_roots("A", r))
+            assert value == oracle == count_partitions(net_change_target((2,), (2,), r),
+                                                       positive_roots("A", r))
+
     def test_extends_past_oracle_range(self):
         assert closed_form_value("c45", 7) == 5 * 450 - 5 * 125
         assert closed_form_value("c45", 8) == 5875
@@ -224,6 +260,14 @@ class TestClosedForms:
         # and misses the true count of 1 there
         assert surd_value("c46", 2) == Fraction(4, 5)
         assert closed_form_check("c46", 2) == 1
+
+    def test_surd_form_below_the_min_rank(self):
+        # no rank check: below the min rank the expression is still evaluated,
+        # a negative power of the surd counting as its zeroth
+        below = {"c45": ["2/5", "1"], "c46": ["2/5", "1/5"], "c47": ["28/169", "28/169", "10/13"],
+                 "c48": ["9/169", "9/169", "9/169", "6/13", "3"]}
+        for which, values in below.items():
+            assert [surd_value(which, r) for r in range(len(values))] == list(map(Fraction, values))
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):

@@ -2,7 +2,8 @@
 so neither may borrow from the other: kostant.py and juggling.py import
 nothing from each other, and no listing function calls a count.  The B/C/D
 reduction is checked against the direct count, so it reaches no
-count_partitions call and counts its leaves in one place only."""
+count_partitions call and counts its leaves in one place only; a closed
+form's value is checked against a partition count, so it reaches none."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import kjuggle
 
 PACKAGE = Path(kjuggle.__file__).parent
 ENGINES = ("kostant", "juggling")
+PARTITION_COUNTS = {"count_partitions", "count_capacity_restricted"}
 
 
 def _imported_modules(tree) -> set:
@@ -58,6 +60,14 @@ def _reached_functions(tree, start: str) -> set:
     return reached
 
 
+def _calls_reached(tree, start: str, names) -> list:
+    """(function, name) for each of names called in a top-level function that
+    a call to start can reach."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return sorted((f, name) for f in _reached_functions(tree, start)
+                  for name in set(names) & _called_names(functions[f]))
+
+
 def _functions_naming(tree, name: str) -> set:
     """The top-level functions whose bodies mention name."""
     return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -83,9 +93,16 @@ def test_the_reduction_reaches_no_direct_count():
     tree = _tree("bcd")
     reached = _reached_functions(tree, "schmidt_bincer_count")
     assert {"_reduction", "_leaves"} <= reached
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert [f for f in sorted(reached) if "count_partitions" in _called_names(functions[f])] == []
+    assert _calls_reached(tree, "schmidt_bincer_count", {"count_partitions"}) == []
     assert _functions_naming(tree, "count_weighted") == {"_reduction"}
+
+
+def test_closed_form_values_reach_no_partition_count():
+    tree = _tree("closedforms")
+    assert "gf_coefficients" in _reached_functions(tree, "closed_form_value")
+    assert _calls_reached(tree, "closed_form_value", PARTITION_COUNTS) == []
+    assert _calls_reached(tree, "closed_form_check", PARTITION_COUNTS) == [
+        ("closed_form_check", "count_capacity_restricted")]
 
 
 def test_the_guards_see_a_planted_breach():
@@ -108,4 +125,12 @@ def test_the_guards_see_a_planted_breach():
         "    return count_weighted({x: 1}, ())\n")
     assert _reached_functions(planted, "top") == {"top", "middle"}
     assert "count_partitions" in _called_names(planted.body[1])
+    assert _calls_reached(planted, "top", PARTITION_COUNTS) == [("middle", "count_partitions")]
     assert _functions_naming(planted, "count_weighted") == {"middle", "unrelated"}
+    planted = ast.parse(
+        "def closed_form_value(which, r):\n"
+        "    return _seed(which) + gf_coefficients(which, r)[-1]\n"
+        "def _seed(which):\n"
+        "    return kostant.count_capacity_restricted(which, (), (), 2)\n")
+    assert _calls_reached(planted, "closed_form_value", PARTITION_COUNTS) == [
+        ("_seed", "count_capacity_restricted")]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kjuggle import kostant
 from kjuggle.errors import DomainError
 from kjuggle.kostant import (canonical_roots, count_capacity_restricted,
                              count_partitions, count_weighted,
@@ -199,6 +200,23 @@ def test_count_weighted_mixed_lengths_signs_and_zeros():
     assert count_weighted(mapping, a2) == expected
     assert count_weighted({(): 3, (0,): -1}, []) == 2
     assert count_weighted({(40, 0, -40): 2, (1, 0, -1): -41}, a2) == 0
+
+
+def test_count_weighted_checks_each_target_length_once(monkeypatch):
+    checked = []
+    check = kostant._check_ambient
+    monkeypatch.setattr(kostant, "_check_ambient",
+                        lambda ambient, roots: checked.append(ambient) or check(ambient, roots))
+    mapping = {(1, 0, 0, -1): 1, (1, -1, 0): 1, (0, 1, -1, 0): 2, (1, -1): 3, (0, 0, 0): 1}
+    with pytest.raises(DomainError) as err:
+        count_weighted(mapping, A3)
+    # the first short length raises, with the message a per-target check gave
+    assert str(err.value) == "root 1-4 does not fit in ambient dimension 3"
+    assert checked == [4, 3]
+    checked.clear()
+    mapping = {(1, 0, -1, 0, 0): 1, (2, -1, -1, 0): 4, (0, 1, -1, 0, 0): 2, (1, -1, 0, 0): -1}
+    assert count_weighted(mapping, A3) == 2 + 4 * 2 + 2 - 1
+    assert checked == [5, 4]
 
 
 def test_bcd_counts_with_negative_coordinates_match_enumeration():
