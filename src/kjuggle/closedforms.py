@@ -342,9 +342,11 @@ def _surd_power(u: int, v: int, k: int, p: int) -> tuple[int, int]:
 
 
 def surd_value(which: str, r: int) -> Fraction:
-    """Exact value of the conjugate-surd expression; below the closed form's
-    min rank it can disagree with the true counts."""
+    """Exact value of the conjugate-surd expression at a rank r >= 0; below
+    the closed form's min rank it can disagree with the true counts."""
     _, row, (k, u, v, form, c, d, denom) = _closed_form(which)
+    if r < 0:
+        raise DomainError(f"{which} surd value requires rank >= 0, got {r}")
     a, b = _surd_power(u, v, k, _length(row, r))
     if form == "plus":
         numerator = 2 * (c * a + d * k * b)

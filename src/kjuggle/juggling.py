@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from math import prod
 from operator import lshift
 from typing import NamedTuple
 
@@ -103,7 +104,7 @@ def successors(state, time, capacity=None, allowed: ThrowSet = ALL_THROWS, max_l
     if hand < 0:
         return []
     if hand == 0:
-        dropped = normalize_state(state[1:])
+        dropped = state[1:]
         if capacity is not None and any(x > capacity for x in dropped):
             return []
         return [(dropped, ())]
@@ -242,19 +243,15 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     return layer.get(empty + sum(map(lshift, b, shifts)), 0)
 
 
-def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS):
-    """All length-n juggling sequences from a to b, deterministically ordered.
-
-    A per-call memo maps (time, state) to its live steps, so no state is
-    expanded twice and no branch that dies is entered.  Throws are emitted by
-    time, then in ascending combo order, so each throw tuple is sorted as
-    built.
-    """
-    if n < 0:
-        raise DomainError("sequence length must be nonnegative")
-    a, b = normalize_state(a), normalize_state(b)
-    if capacity is not None and capacity < 1:
-        raise DomainError("capacity must be a positive integer")
+def _live_steps(a: State, b: State, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS,
+                throws: bool = True):
+    """The live steps of the length-n sequences from a to b (both normalized)
+    at time 1: (new state, its throws, the live steps from it at the next
+    time, or None at time n) for each successor that can still reach b at
+    time n, in successor order.  None if n is 0 and a is b; empty if no
+    sequence exists.  A per-call memo maps (time, state) to its live steps,
+    so no state is expanded twice and no branch that dies is entered.
+    Without `throws` a step holds bare heights, which cost nothing to make."""
     if state_total(a) != state_total(b):
         return []
     if capacity is not None and any(x > capacity for x in a):
@@ -263,15 +260,11 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
     if _dead(a, 0, deadline):
         return []
     if n == 0:
-        return [JugglingSequence((a,), ())] if a == b else []
+        return None if a == b else []
     bound = _landing_bound(a, b, n)
     memo: dict = {}
-    found = []
 
     def live(time, state) -> list:
-        """The live steps from state at time: (new state, its throws, the live
-        steps from it at time + 1, or None at time n), for each successor that
-        can still reach b at time n, in successor order."""
         key = (time, state)
         out = memo.get(key)
         if out is not None:
@@ -280,13 +273,35 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
         for new, combo in successors(state, time, capacity, allowed, bound):
             if time == n:
                 if new == b:
-                    out.append((new, tuple(Throw(time, h) for h in combo), None))
+                    out.append((new, tuple(Throw(time, h) for h in combo) if throws else combo,
+                                None))
             elif not _dead(new, time, deadline):
                 below = live(time + 1, new)
                 if below:
-                    out.append((new, tuple(Throw(time, h) for h in combo), below))
+                    out.append((new, tuple(Throw(time, h) for h in combo) if throws else combo,
+                                below))
         memo[key] = out
         return out
+
+    return live(1, a)
+
+
+def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS):
+    """All length-n juggling sequences from a to b, deterministically ordered.
+
+    The walk follows `_live_steps`, so no state is expanded twice and no
+    branch that dies is entered.  Throws are emitted by time, then in
+    ascending combo order, so each throw tuple is sorted as built.
+    """
+    if n < 0:
+        raise DomainError("sequence length must be nonnegative")
+    a, b = normalize_state(a), normalize_state(b)
+    if capacity is not None and capacity < 1:
+        raise DomainError("capacity must be a positive integer")
+    steps = _live_steps(a, b, n, capacity, allowed)
+    if steps is None:
+        return [JugglingSequence((a,), ())]
+    found = []
 
     def rec(steps, states, throws):
         for new, step, below in steps:
@@ -295,7 +310,7 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
             else:
                 rec(below, states + (new,), throws + step)
 
-    rec(live(1, a), (a,), ())
+    rec(steps, (a,), ())
     return found
 
 
@@ -334,6 +349,18 @@ def label_component(state, label: int) -> State:
     return normalize_state(tuple(u[label] for u in state))
 
 
+def _label_components(a, b, n: int) -> tuple[list, list]:
+    """The per-label single states of labeled states a and b, after checking
+    the length and the label counts."""
+    if n < 0:
+        raise DomainError("sequence length must be nonnegative")
+    a, b = normalize_labeled(a), normalize_labeled(b)
+    if a and b and label_count(a) != label_count(b):
+        raise DomainError("labeled states use different label counts")
+    labels = range(max(label_count(a), label_count(b)))
+    return [label_component(a, j) for j in labels], [label_component(b, j) for j in labels]
+
+
 def labeled_count(a, b, n: int, capacity=None) -> int:
     """Number of labeled juggling sequences: the product of per-label counts.
 
@@ -342,73 +369,36 @@ def labeled_count(a, b, n: int, capacity=None) -> int:
     """
     if capacity is not None:
         raise DomainError("labeled counting does not support a hand capacity")
-    a, b = normalize_labeled(a), normalize_labeled(b)
-    la, lb = label_count(a), label_count(b)
-    labels = max(la, lb)
-    if a and b and la != lb:
-        raise DomainError("labeled states use different label counts")
-    total = 1
-    for j in range(labels):
-        total *= count_sequences(label_component(a, j) if a else (),
-                                 label_component(b, j) if b else (), n)
-    return total
+    comps_a, comps_b = _label_components(a, b, n)
+    return prod(count_sequences(u, v, n) for u, v in zip(comps_a, comps_b))
 
 
 def enumerate_labeled_sequences(a, b, n: int):
     """All labeled sequences from a to b, walking the joint state machine.
 
     Each label transitions independently at every step; the result is the
-    list of state paths (used to cross-check the product formula).  A
-    per-call memo maps (label, time, state) to that label's live steps, as in
-    `enumerate_sequences`, and a joint step is one pick of a live step per
-    label, taken in `itertools.product` order, so no branch that dies is
-    entered.
+    list of state paths (used to cross-check the product formula).  Each
+    label's live steps come from `_live_steps`, as in `enumerate_sequences`,
+    and a joint step is one pick of a live step per label, taken in
+    `itertools.product` order, so no branch that dies is entered.
     """
-    a, b = normalize_labeled(a), normalize_labeled(b)
-    labels = max(label_count(a), label_count(b))
-    if a and b and label_count(a) != label_count(b):
-        raise DomainError("labeled states use different label counts")
-    comps_a = [label_component(a, j) if a else () for j in range(labels)]
-    comps_b = [label_component(b, j) if b else () for j in range(labels)]
-    if any(state_total(u) != state_total(v) for u, v in zip(comps_a, comps_b)):
-        return []
-    bounds = [_landing_bound(u, v, n) for u, v in zip(comps_a, comps_b)]
-    deadlines = [n + len(v) for v in comps_b]
-    if any(_dead(u, 0, d) for u, d in zip(comps_a, deadlines)):
+    comps_a, comps_b = _label_components(a, b, n)
+    walks = [_live_steps(u, v, n, throws=False) for u, v in zip(comps_a, comps_b)]
+    if [] in walks:
         return []
     if n == 0:
-        return [[tuple(comps_a)]] if comps_a == comps_b else []
-    memo: dict = {}
+        return [[tuple(comps_a)]]
     found = []
     path = [tuple(comps_a)]
 
-    def live(label, time, state) -> list:
-        """The label's live steps from state at time: (new state, the live
-        steps from it at time + 1, or None at time n)."""
-        key = (label, time, state)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        out = []
-        for new, _ in successors(state, time, None, ALL_THROWS, bounds[label]):
-            if time == n:
-                if new == comps_b[label]:
-                    out.append((new, None))
-            elif not _dead(new, time, deadlines[label]):
-                below = live(label, time + 1, new)
-                if below:
-                    out.append((new, below))
-        memo[key] = out
-        return out
-
     def rec(time, steps):
         for joint in product(*steps):
-            path.append(tuple([new for new, _ in joint]))
+            path.append(tuple([new for new, _, _ in joint]))
             if time == n:
                 found.append(path[:])
             else:
-                rec(time + 1, [below for _, below in joint])
+                rec(time + 1, [below for _, _, below in joint])
             path.pop()
 
-    rec(1, [live(j, 1, u) for j, u in enumerate(comps_a)])
+    rec(1, walks)
     return found

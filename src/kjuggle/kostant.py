@@ -24,7 +24,7 @@ from itertools import accumulate, groupby
 from operator import attrgetter
 
 from .errors import DomainError
-from .roots import DOUBLE, MINUS, PLUS, SINGLE, Root, root_to_weight
+from .roots import DOUBLE, MINUS, PLUS, Root
 
 Partition = tuple  # tuple[tuple[Root, int], ...]
 
@@ -37,10 +37,11 @@ def canonical_roots(roots) -> tuple[Root, ...]:
 
 def partition_weight(partition: Partition, ambient: int) -> tuple[int, ...]:
     """Sum of the parts of a partition, as a coordinate vector."""
+    _check_ambient(ambient, [root for root, _ in partition])
     total = [0] * ambient
     for root, mult in partition:
-        for k, x in enumerate(root_to_weight(root, ambient)):
-            total[k] += mult * x
+        for k, x in root.terms:
+            total[k - 1] += mult * x
     return tuple(total)
 
 
@@ -63,36 +64,26 @@ def _max_mult(root: Root, w) -> int:
     """Largest multiplicity of `root` that can still lead to a zero residual.
 
     Later canonical roots never raise the coordinates consumed here, so the
-    bound is exact: a negative bound means the branch is dead.
+    bound is exact: a negative bound means the branch is dead.  (A loop, not
+    a comprehension, whose frame would double the cost of this hot call.)
     """
-    if root.kind == MINUS:
-        return w[root.i - 1]
-    if root.kind == PLUS:
-        return min(w[root.i - 1], w[root.j - 1])
-    if root.kind == SINGLE:
-        return w[root.i - 1]
-    return w[root.i - 1] // 2
+    top = None
+    for k, x in root.terms:
+        if x > 0 and (top is None or w[k - 1] // x < top):
+            top = w[k - 1] // x
+    return top
 
 
 def _subtract(w, root: Root, mult: int):
     out = list(w)
-    if root.kind == MINUS:
-        out[root.i - 1] -= mult
-        out[root.j - 1] += mult
-    elif root.kind == PLUS:
-        out[root.i - 1] -= mult
-        out[root.j - 1] -= mult
-    elif root.kind == SINGLE:
-        out[root.i - 1] -= mult
-    else:
-        out[root.i - 1] -= 2 * mult
+    for k, x in root.terms:
+        out[k - 1] -= mult * x
     return tuple(out)
 
 
 def _check_ambient(ambient: int, roots) -> None:
     for root in roots:
-        top = root.j if root.kind in (MINUS, PLUS) else root.i
-        if top > ambient:
+        if root.terms[-1][0] > ambient:
             raise DomainError(f"root {root} does not fit in ambient dimension {ambient}")
 
 
@@ -148,15 +139,15 @@ def _sweep(targets, roots, ceiling=None) -> int:
         steps = []
         for root in group if levels else ():
             sel = lo = 0
-            if kind == SINGLE or kind == DOUBLE:
-                delta = need << shift
-            elif pure:  # prefix sums i..j-1 each lose one
+            if pure:  # prefix sums i..j-1 each lose one
                 delta = ((1 << bits * (root.j - 1)) - (1 << shift)) // mask
-            elif kind == MINUS:
-                delta = (1 << shift) - (1 << bits * (root.j - 1))
             else:
+                delta = 0
+                for k, x in root.terms:
+                    delta += x << bits * (k - 1)
+            if kind == PLUS:
                 j = bits * (root.j - 1)
-                delta, sel, lo = (1 << shift) + (1 << j), mask << j, (half + 1) << j
+                sel, lo = mask << j, (half + 1) << j
             steps.append((delta, sel, lo))
         last = steps.pop()[0] if pure and steps else None
         for delta, sel, lo in steps:

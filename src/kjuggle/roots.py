@@ -29,11 +29,12 @@ class Root:
 
     Roots are interned: `Root(kind, i, j)` returns the one object of that
     root, so equality and hashing are identity, and copies and pickles come
-    back as the same object.  Its canonical sort key and its compact text
-    are computed once, when the root is first made.
+    back as the same object.  Its canonical sort key, its compact text and
+    its terms, the nonzero coordinates as (index, value) pairs in index
+    order, are computed once, when the root is first made.
     """
 
-    __slots__ = ("kind", "i", "j", "key", "text")
+    __slots__ = ("kind", "i", "j", "key", "text", "terms")
 
     def __new__(cls, kind: str, i: int, j: int = 0):
         root = _INTERNED.get((kind, i, j))
@@ -57,10 +58,13 @@ class Root:
                 raise DomainError(f"root indices must satisfy i < j, got ({i}, {j})")
         elif j != 0:
             raise DomainError(f"{kind} roots take a single index")
-        text = {MINUS: f"{i}-{j}", PLUS: f"{i}+{j}", SINGLE: f"{i}", DOUBLE: f"2{i}"}[kind]
+        text, terms = {MINUS: (f"{i}-{j}", ((i, 1), (j, -1))),
+                       PLUS: (f"{i}+{j}", ((i, 1), (j, 1))),
+                       SINGLE: (f"{i}", ((i, 1),)),
+                       DOUBLE: (f"2{i}", ((i, 2),))}[kind]
         root = object.__new__(cls)
-        for name, value in (("kind", kind), ("i", i), ("j", j),
-                            ("key", (_KIND_ORDER[kind], i, j)), ("text", text)):
+        for name, value in (("kind", kind), ("i", i), ("j", j), ("key", (_KIND_ORDER[kind], i, j)),
+                            ("text", text), ("terms", terms)):
             object.__setattr__(root, name, value)
         _INTERNED[kind, i, j] = root
         return root
@@ -167,29 +171,12 @@ def positive_roots(lie_type: str, rank: int) -> tuple[Root, ...]:
 
 def root_to_weight(root: Root, ambient: int) -> tuple[int, ...]:
     """Expand a root into its coordinate vector of the given length."""
-    top = root.j if root.kind in (MINUS, PLUS) else root.i
-    if top > ambient:
+    if root.terms[-1][0] > ambient:
         raise DomainError(f"root {root} does not fit in ambient dimension {ambient}")
     w = [0] * ambient
-    if root.kind == MINUS:
-        w[root.i - 1] = 1
-        w[root.j - 1] = -1
-    elif root.kind == PLUS:
-        w[root.i - 1] = 1
-        w[root.j - 1] = 1
-    elif root.kind == SINGLE:
-        w[root.i - 1] = 1
-    else:
-        w[root.i - 1] = 2
+    for k, x in root.terms:
+        w[k - 1] = x
     return tuple(w)
-
-
-def add_weights(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale_weight(c, u):
-    return tuple(c * a for a in u)
 
 
 def simple_root(lie_type: str, rank: int, i: int) -> tuple[int, ...]:
@@ -217,12 +204,12 @@ def weight_from_simple(lie_type: str, rank: int, coeffs) -> tuple[int, ...]:
     coeffs = tuple(coeffs)
     if len(coeffs) != rank:
         raise DomainError(f"expected {rank} coefficients, got {len(coeffs)}")
-    n = ambient_dim(lie_type, rank)
-    w = (0,) * n
+    w = [0] * ambient_dim(lie_type, rank)
     for i, c in enumerate(coeffs, start=1):
         if c:
-            w = add_weights(w, scale_weight(c, simple_root(lie_type, rank, i)))
-    return w
+            for k, x in enumerate(simple_root(lie_type, rank, i)):
+                w[k] += c * x
+    return tuple(w)
 
 
 def simple_root_coefficients(lie_type: str, rank: int, weight) -> tuple[int, ...]:

@@ -269,6 +269,11 @@ class TestClosedForms:
         for which, values in below.items():
             assert [surd_value(which, r) for r in range(len(values))] == list(map(Fraction, values))
 
+    def test_surd_form_rejects_a_negative_rank(self):
+        for which in ("c45", "c46", "c47", "c48"):
+            with pytest.raises(DomainError, match="rank >= 0"):
+                surd_value(which, -1)
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             closed_form_check("c47", 2)

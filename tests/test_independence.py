@@ -29,17 +29,12 @@ def _imported_modules(tree) -> set:
 
 
 def _counts_called_by_listings(tree) -> list:
-    """(listing function, called name) for each count_* call inside an enumerate_* function."""
-    calls = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("enumerate_"):
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Call):
-                    func = inner.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                    if name.startswith("count_"):
-                        calls.append((node.name, name))
-    return calls
+    """(function, called name) for each count_* call in a top-level function
+    that an enumerate_* function can reach, the listing itself included."""
+    counts = {name for name in _called_names(tree) if name.startswith("count_")}
+    return sorted({call for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name.startswith("enumerate_")
+                   for call in _calls_reached(tree, node.name, counts)})
 
 
 def _called_names(node) -> set:
@@ -114,8 +109,16 @@ def test_the_guards_see_a_planted_breach():
         "        return kostant.count_partitions(x, ())\n"
         "    return count_sequences(x, x, 1) + inner()\n")
     assert {"juggling", "kostant"} <= _imported_modules(planted)
-    assert sorted(_counts_called_by_listings(planted)) == [
+    assert _counts_called_by_listings(planted) == [
         ("enumerate_things", "count_partitions"), ("enumerate_things", "count_sequences")]
+    planted = ast.parse(
+        "def enumerate_things(x):\n"
+        "    return _walk(x)\n"
+        "def _walk(x):\n"
+        "    return count_sequences(x, x, 1)\n"
+        "def count_things(x):\n"
+        "    return count_weighted({x: 1}, ())\n")
+    assert _counts_called_by_listings(planted) == [("_walk", "count_sequences")]
     planted = ast.parse(
         "def top(x):\n"
         "    return middle(x)\n"

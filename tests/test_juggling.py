@@ -380,6 +380,13 @@ class TestLabeled:
         assert label_component(state, 1) == (2, -1, 1)
         assert label_component(state, 2) == (1, 0, 2)
 
+    def test_negative_lengths_are_rejected_for_any_label_count(self):
+        for a in ((), ((0,),), ((1,),), ((1, 0), (0, 1)), ((2, 1, 1),)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                labeled_count(a, a, -1)
+            with pytest.raises(DomainError, match="nonnegative"):
+                enumerate_labeled_sequences(a, a, -1)
+
     def test_joint_enumeration_matches_product(self):
         a = ((1, 0), (0, 1))
         b = ((0, 1), (1, 0))

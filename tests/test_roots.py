@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -156,12 +157,46 @@ def test_roots_are_interned():
 
 
 def test_copies_and_pickles_are_the_same_root():
-    for root in (eminus(1, 2), eplus(3, 7), esingle(2), edouble(5)):
+    for root, terms in ((eminus(1, 2), ((1, 1), (2, -1))), (eplus(3, 7), ((3, 1), (7, 1))),
+                        (esingle(2), ((2, 1),)), (edouble(5), ((5, 2),))):
+        assert root.terms == terms
         assert copy.copy(root) is root
         assert copy.deepcopy(root) is root
         assert copy.deepcopy([root, (root, 1)])[1][0] is root
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(root, protocol)) is root
+            back = pickle.loads(pickle.dumps(root, protocol))
+            assert back is root and back.terms == terms
+
+
+def _old_weight(root, ambient):
+    """The coordinate vector as the per-kind expansion wrote it."""
+    w = [0] * ambient
+    if root.kind == MINUS:
+        w[root.i - 1], w[root.j - 1] = 1, -1
+    elif root.kind == PLUS:
+        w[root.i - 1], w[root.j - 1] = 1, 1
+    elif root.kind == SINGLE:
+        w[root.i - 1] = 1
+    else:
+        w[root.i - 1] = 2
+    return tuple(w)
+
+
+def test_terms_expand_as_the_per_kind_reference():
+    checked = 0
+    for lie_type, last in (("A", 8), ("B", 8), ("C", 8), ("D", 8)):
+        for rank in range(MIN_RANK[lie_type], last + 1):
+            n = ambient_dim(lie_type, rank)
+            for root in positive_roots(lie_type, rank):
+                assert root_to_weight(root, n) == _old_weight(root, n), root
+                assert root.terms == tuple((k, x) for k, x in enumerate(_old_weight(root, n), 1)
+                                           if x)
+                top = root.terms[-1][0]
+                assert root_to_weight(root, top) == _old_weight(root, top)
+                with pytest.raises(DomainError, match=re.escape(f"root {root} does not fit")):
+                    root_to_weight(root, top - 1)
+                checked += 1
+    assert checked == 120 + 203 + 199 + 160  # r(r+1)/2, r^2, r^2, r(r-1) roots summed over the ranks
 
 
 def test_roots_are_immutable():
