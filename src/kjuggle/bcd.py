@@ -125,6 +125,7 @@ def enumerate_bcd_sequences(lie_type: str, initial: BcdState, n: int):
             states.pop()
 
     rec(1)
+    del rec  # it refers to itself: free the walk now, not at a collection
     return found
 
 
@@ -196,6 +197,7 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
 
     if literal or not packed:
         rec(0, root)
+    del rec  # it refers to itself
     leaves = {}
     for w, ways in packed.items():
         sums = [(w >> s & mask) - half for s in shifts]

@@ -160,7 +160,10 @@ def dominating_compositions(total: int, pattern):
             out[pos] = value
             yield from rec(pos + 1, used + value)
 
-    yield from rec(0, 0)
+    try:
+        yield from rec(0, 0)
+    finally:
+        del rec  # it refers to itself: free it even if the caller stops early
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,10 @@ A state is an integer tuple whose k-th entry is the net number of balls at
 height k+1; negative entries are magic balls.  States are normalized by
 stripping trailing zeros, so the empty tuple is the state with no balls.
 Counting is a layer DP on packed states; enumeration walks the per-state
-`successors` on tuples through a per-call memo of live steps, so the two
-compare different transition codes.
+`successors` on tuples through a per-call table of live steps, so the two
+compare different transition codes.  That table is built layer by layer and
+walked with an explicit stack, so no time step costs a frame and the table
+is freed by reference counting when the call returns.
 """
 
 from __future__ import annotations
@@ -249,9 +251,11 @@ def _live_steps(a: State, b: State, n: int, capacity=None, allowed: ThrowSet = A
     at time 1: (new state, its throws, the live steps from it at the next
     time, or None at time n) for each successor that can still reach b at
     time n, in successor order.  None if n is 0 and a is b; empty if no
-    sequence exists.  A per-call memo maps (time, state) to its live steps,
-    so no state is expanded twice and no branch that dies is entered.
-    Without `throws` a step holds bare heights, which cost nothing to make."""
+    sequence exists.  Built layer by layer: forward, the steps of every
+    state reachable at each time (each state's successors taken once);
+    then backward from time n, each state's steps whose new state is live,
+    so no branch that dies is kept and no time costs a frame.  Without
+    `throws` a step holds bare heights, which cost nothing to make."""
     if state_total(a) != state_total(b):
         return []
     if capacity is not None and any(x > capacity for x in a):
@@ -262,36 +266,43 @@ def _live_steps(a: State, b: State, n: int, capacity=None, allowed: ThrowSet = A
     if n == 0:
         return None if a == b else []
     bound = _landing_bound(a, b, n)
-    memo: dict = {}
-
-    def live(time, state) -> list:
-        key = (time, state)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        out = []
-        for new, combo in successors(state, time, capacity, allowed, bound):
-            if time == n:
-                if new == b:
-                    out.append((new, tuple(Throw(time, h) for h in combo) if throws else combo,
-                                None))
-            elif not _dead(new, time, deadline):
-                below = live(time + 1, new)
-                if below:
+    layers = []  # per time: [(state, [(new state, heights), ...]), ...]
+    reach = (a,)
+    for time in range(1, n + 1):
+        layer = []
+        nxt: dict = {}
+        for state in reach:
+            kept = []
+            for new, combo in successors(state, time, capacity, allowed, bound):
+                if new == b if time == n else not _dead(new, time, deadline):
+                    kept.append((new, combo))
+                    nxt[new] = None
+            layer.append((state, kept))
+        layers.append(layer)
+        reach = nxt
+    # The live steps of each state at the next time: past time n, only b,
+    # with None; a step is kept unless its new state has none ([]).
+    live = {b: None}
+    for time in range(n, 0, -1):
+        cur = {}
+        for state, kept in layers.pop():
+            out = cur[state] = []
+            for new, combo in kept:
+                below = live[new]
+                if below != []:
                     out.append((new, tuple(Throw(time, h) for h in combo) if throws else combo,
                                 below))
-        memo[key] = out
-        return out
-
-    return live(1, a)
+        live = cur
+    return live[a]
 
 
 def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS):
     """All length-n juggling sequences from a to b, deterministically ordered.
 
     The walk follows `_live_steps`, so no state is expanded twice and no
-    branch that dies is entered.  Throws are emitted by time, then in
-    ascending combo order, so each throw tuple is sorted as built.
+    branch that dies is entered; it keeps its own stack, one entry per time,
+    so no time costs a frame.  Throws are emitted by time, then in ascending
+    combo order, so each throw tuple is sorted as built.
     """
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
@@ -302,15 +313,21 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
     if steps is None:
         return [JugglingSequence((a,), ())]
     found = []
-
-    def rec(steps, states, throws):
-        for new, step, below in steps:
-            if below is None:
-                found.append(JugglingSequence(states + (new,), throws + step))
-            else:
-                rec(below, states + (new,), throws + step)
-
-    rec(steps, (a,), ())
+    # stack[t] iterates the steps at time t (stack[0]: one step into a), with
+    # the states and throws before them; from stack[n - 1], each step's
+    # steps at time n are emitted as sequences, with no push.
+    stack = [(iter([(a, (), steps)]), (), ())]
+    while stack:
+        entries, states, throws = stack[-1]
+        for new, step, below in entries:
+            if len(stack) < n:
+                stack.append((iter(below), states + (new,), throws + step))
+                break
+            path, thrown = states + (new,), throws + step
+            for end, last, _ in below:
+                found.append(JugglingSequence(path + (end,), thrown + last))
+        else:
+            stack.pop()
     return found
 
 
@@ -380,7 +397,8 @@ def enumerate_labeled_sequences(a, b, n: int):
     list of state paths (used to cross-check the product formula).  Each
     label's live steps come from `_live_steps`, as in `enumerate_sequences`,
     and a joint step is one pick of a live step per label, taken in
-    `itertools.product` order, so no branch that dies is entered.
+    `itertools.product` order, so no branch that dies is entered.  The walk
+    keeps its own stack, one joint-step iterator per time.
     """
     comps_a, comps_b = _label_components(a, b, n)
     walks = [_live_steps(u, v, n, throws=False) for u, v in zip(comps_a, comps_b)]
@@ -390,15 +408,16 @@ def enumerate_labeled_sequences(a, b, n: int):
         return [[tuple(comps_a)]]
     found = []
     path = [tuple(comps_a)]
-
-    def rec(time, steps):
-        for joint in product(*steps):
-            path.append(tuple([new for new, _, _ in joint]))
-            if time == n:
-                found.append(path[:])
-            else:
-                rec(time + 1, [below for _, _, below in joint])
+    stack = [product(*walks)]  # stack[t] iterates the joint steps at time t + 1
+    while stack:
+        for joint in stack[-1]:
+            state = tuple([new for new, _, _ in joint])
+            if len(stack) < n:
+                path.append(state)
+                stack.append(product(*[below for _, _, below in joint]))
+                break
+            found.append(path + [state])
+        else:
+            stack.pop()
             path.pop()
-
-    rec(1, walks)
     return found

@@ -7,11 +7,14 @@ multisets are produced exactly once.  Enumeration is liveness-guided: a
 per-call memo keeps, for each (root index, residual) node, its live entries,
 one per positive part that can still reach zero, with the entries of the
 part's own remainder below it; skipped roots are spliced out, so the walk
-spends one frame per positive part and emits partitions canonically with no
-sort.  Counting runs forward over a layer of {residual weight: ways},
-one (kind, i) group of roots at a time, so equal residuals merge; there each
-residual is packed into one int of fixed-width biased fields, so a copy of a
-root is one subtraction and each prune one mask test.  For e_i - e_j roots
+spends one frame per positive part (a root group that the residual cannot
+pay for is stepped past in one) and emits partitions canonically with no
+sort.  The memo is freed by reference counting when the call returns: the
+walk's self-calling closures are deleted, so no cycle holds it.  Counting
+runs forward over a layer of {residual weight: ways}, one (kind, i) group of
+roots at a time, so equal residuals merge; there each residual is packed
+into one int of fixed-width biased fields, so a copy of a root is one
+subtraction and each prune one mask test.  For e_i - e_j roots
 alone the fields hold prefix sums, so a residual with a negative one is
 dropped as dead, and a group's last root sends every copy left in one move.
 The capacity-restricted count is the same sweep with a cap on each
@@ -233,6 +236,10 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
         return [()]
     n = len(roots)
     first_mixed = next((k for k, r in enumerate(roots) if r.kind != MINUS), n)
+    group_end = [n] * n  # the index past root k's (kind, i) group
+    for k in range(n - 2, -1, -1):
+        same = roots[k].kind == roots[k + 1].kind and roots[k].i == roots[k + 1].i
+        group_end[k] = group_end[k + 1] if same else k + 1
     memo: dict = {}
     found: list[Partition] = []
 
@@ -242,7 +249,9 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
         below being the live entries of what remains after it (from the next
         root on), or None when nothing remains; empty if w is dead.  A root's
         own parts come first, mult ascending, then the entries of skipping it
-        (the mult-0 child spliced in place), which is canonical order."""
+        (the mult-0 child spliced in place), which is canonical order.  When
+        coordinate i cannot pay for one copy, no root of the (kind, i) group
+        can, and the walk steps past the whole group in one call."""
         key = (idx, w)
         out = memo.get(key)
         if out is not None:
@@ -252,7 +261,9 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
             root = roots[idx]
             dead = (min(w) < 0 if idx >= first_mixed else
                     w[root.i - 1] < 0 or (first_mixed == n and any(w[:root.i - 1])))
-            if not dead:
+            if not dead and w[root.i - 1] < (2 if root.kind == DOUBLE else 1):
+                out = live(group_end[idx], w)
+            elif not dead:
                 for mult in range(1, _max_mult(root, w) + 1):
                     child = _subtract(w, root, mult)
                     if not any(child):
@@ -273,6 +284,7 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
                 rec(below, chosen + (part,))
 
     rec(live(0, target), ())
+    del live, rec  # each refers to itself: free the memo now, not at a collection
     return found
 
 

@@ -58,10 +58,12 @@ class Root:
                 raise DomainError(f"root indices must satisfy i < j, got ({i}, {j})")
         elif j != 0:
             raise DomainError(f"{kind} roots take a single index")
+        # A digit token of two or more digits that starts with 2 could be
+        # e_i or 2e_i, so such an e_i, and a 2e_i past one digit, print an e.
         text, terms = {MINUS: (f"{i}-{j}", ((i, 1), (j, -1))),
                        PLUS: (f"{i}+{j}", ((i, 1), (j, 1))),
-                       SINGLE: (f"{i}", ((i, 1),)),
-                       DOUBLE: (f"2{i}", ((i, 2),))}[kind]
+                       SINGLE: (f"e{i}" if i >= 20 and str(i)[0] == "2" else f"{i}", ((i, 1),)),
+                       DOUBLE: (f"2{i}" if i < 10 else f"2e{i}", ((i, 2),))}[kind]
         root = object.__new__(cls)
         for name, value in (("kind", kind), ("i", i), ("j", j), ("key", (_KIND_ORDER[kind], i, j)),
                             ("text", text), ("terms", terms)):
@@ -114,25 +116,31 @@ def edouble(i) -> Root:
 
 
 _ROOT_RE = re.compile(r"^(\d+)([+-])(\d+)$")
+_E_RE = re.compile(r"^(2?)e(\d+)$")
 
 
 def parse_root(text: str) -> Root:
-    """Parse a root from its compact form: i-j, i+j, i, or 2i.
+    """Parse a root from its compact form: i-j, i+j, e<i>, 2e<i>, or the
+    digits-only i and 2i.
 
-    The digits-only forms collide: a single index of two or more digits that
-    starts with 2 reads as a doubled root, so "21" is 2e_1 (not e_21) and "20"
-    is rejected.  Type B has e_20 from rank 20 on, and such ranks are cheap,
-    so this bites (ROADMAP item 7).
+    A digits-only token is e_i unless it starts with 2 and is longer than
+    one digit; "2" followed by one nonzero digit is 2e_i, and any longer
+    token starting with 2 is rejected as ambiguous.
     """
     text = text.strip()
     m = _ROOT_RE.match(text)
     if m:
         i, op, j = int(m.group(1)), m.group(2), int(m.group(3))
         return eminus(i, j) if op == "-" else eplus(i, j)
+    m = _E_RE.match(text)
+    if m:
+        return (edouble if m.group(1) else esingle)(int(m.group(2)))
     if text.isdigit():
-        if len(text) > 1 and text[0] == "2":
-            return edouble(int(text[1:]))
-        return esingle(int(text))
+        if len(text) == 1 or text[0] != "2":
+            return esingle(int(text))
+        if len(text) == 2 and text[1] != "0":
+            return edouble(int(text[1]))
+        raise DomainError(f"ambiguous root {text!r}: write e<i> for e_i or 2e<i> for 2e_i")
     raise DomainError(f"cannot parse root {text!r}")
 
 

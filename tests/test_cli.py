@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kjuggle
 from kjuggle import acceptance, bcd, cli, closedforms
 from kjuggle.cli import dispatch
 from kjuggle.errors import InvariantViolation
@@ -128,6 +133,33 @@ def test_js_throws_file(tmp_path, capsys):
     code, out, _ = run(capsys, "js", "count", "--initial", "1", "--terminal", "1",
                        "--length", "3", "--throws-file", str(path))
     assert code == 0 and out.strip() == "3"
+
+
+def test_single_result_listings_take_no_frame_per_root_or_time(capsys):
+    # B_32 has 1,024 roots and the sequence 3,000 steps, both past the
+    # default recursion limit; each listing has exactly one result.
+    code, out, _ = run(capsys, "kostant", "--type", "B", "--rank", "32",
+                       "--weight-eps", ",".join(["0"] * 31 + ["1"]), "--enumerate")
+    assert code == 0 and out == "1\n32\n"
+    code, out, _ = run(capsys, "js", "enum", "--initial", "1", "--terminal", "1",
+                       "--length", "3000", "--capacity", "1", "--throws", "heights=1")
+    assert code == 0 and out == " -> ".join(["1"] * 3001) + "\n# 1 sequences\n"
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(kjuggle.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kjuggle.cli", "js", "enum", "--initial", "1,1",
+         "--terminal", "1,1", "--length", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first write, as with `| head`
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_roots_listing_and_file_use(tmp_path, capsys):
