@@ -3,15 +3,17 @@
 A state is an integer tuple whose k-th entry is the net number of balls at
 height k+1; negative entries are magic balls.  States are normalized by
 stripping trailing zeros, so the empty tuple is the state with no balls.
-Counting is a layer DP on packed states; enumeration walks the per-state
-`successors` on tuples through a per-call table of live steps, so the two
-compare different transition codes.  That table is built layer by layer and
-walked with an explicit stack, so no time step costs a frame and the table
-is freed by reference counting when the call returns.
-"""
+Every entry point reads its instance through one check, `_instance`, and
+each step's allowed heights from `ThrowSet.heights`, asked once per time
+step.  Counting is a layer DP on packed states; enumeration walks the
+per-state `successors` on tuples through a per-call table of live steps, so
+the two compare different transition codes.  That table is built layer by
+layer and walked with an explicit stack, so no time step costs a frame and
+the table is freed by reference counting when the call returns."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import prod
@@ -36,41 +38,40 @@ def normalize_state(entries) -> State:
     return entries[:end]
 
 
-def state_total(state) -> int:
-    return sum(state)
-
-
 class ThrowSet:
-    """A set of allowed throws: everything, fixed heights, or explicit pairs."""
+    """A set of allowed throws: every height, fixed heights at every time, or
+    explicit (time, height) pairs.  Its table is None, a sorted height tuple,
+    or a {time: sorted heights} dict."""
 
-    __slots__ = ("_heights", "_throws")
+    __slots__ = ("_table",)
 
-    def __init__(self, heights=None, throws=None):
-        self._heights = frozenset(heights) if heights is not None else None
-        self._throws = frozenset(Throw(t, h) for t, h in throws) if throws is not None else None
-        if self._heights is not None and self._throws is not None:
-            raise DomainError("a throw set is either height-based or explicit, not both")
+    def __init__(self, table=None):
+        self._table = table
 
     @classmethod
     def from_heights(cls, heights) -> "ThrowSet":
         heights = tuple(heights)
         if any(h < 1 for h in heights):
             raise DomainError("throw heights must be positive")
-        return cls(heights=heights)
+        return cls(tuple(sorted(set(heights))))
 
     @classmethod
     def from_throws(cls, throws) -> "ThrowSet":
-        throws = tuple(throws)
-        if any(t < 1 or h < 1 for t, h in throws):
-            raise DomainError("throw times and heights must be positive")
-        return cls(throws=throws)
+        table: dict = {}
+        for t, h in throws:
+            if t < 1 or h < 1:
+                raise DomainError("throw times and heights must be positive")
+            table.setdefault(t, set()).add(h)
+        return cls({t: tuple(sorted(hs)) for t, hs in table.items()})
 
-    def allows(self, time: int, height: int) -> bool:
-        if self._heights is not None:
-            return height in self._heights
-        if self._throws is not None:
-            return Throw(time, height) in self._throws
-        return True
+    def heights(self, time: int, top: int):
+        """The allowed heights 1..top at the given time, ascending."""
+        table = self._table
+        if table is None:
+            return range(1, top + 1)
+        if type(table) is dict:
+            table = table.get(time, ())
+        return table[:bisect_right(table, top)]
 
 
 ALL_THROWS = ThrowSet()
@@ -112,9 +113,8 @@ def successors(state, time, capacity=None, allowed: ThrowSet = ALL_THROWS, max_l
         return [(dropped, ())]
     if max_landing is None:
         raise DomainError("max_landing is required when balls are thrown")
-    heights = [j for j in range(1, max_landing - time + 1) if allowed.allows(time, j)]
     out = []
-    for combo in combinations_with_replacement(heights, hand):
+    for combo in combinations_with_replacement(allowed.heights(time, max_landing - time), hand):
         new = _apply_throws(state, combo)
         if capacity is not None and any(x > capacity for x in new):
             continue
@@ -122,18 +122,31 @@ def successors(state, time, capacity=None, allowed: ThrowSet = ALL_THROWS, max_l
     return out
 
 
-def _landing_bound(a: State, b: State, n: int) -> int:
-    """Latest time a throw may land: the dimension of the net change vector."""
-    return max(len(a), n + len(b))
-
-
 def _dead(state: State, time: int, deadline: int) -> bool:
-    """A positive entry that cannot land by the deadline can never reach b.
-
-    Entry k lands at time + k + 1, so only the tail from k = deadline - time
-    on can be late.
-    """
+    """Whether a positive entry lands past the deadline, so b is out of
+    reach: entry k lands at time + k + 1."""
     return any(x > 0 for x in state[deadline - time:])
+
+
+def _instance(a, b, n: int, capacity):
+    """The normalized (a, b, deadline, bound) of the length-n sequences from
+    a to b, or None when none can exist: the ball totals differ, a is empty
+    and b is not (magic balls are never created), a exceeds the capacity, or
+    a ball of a cannot land by the deadline n + len(b).  The bound is the
+    latest time a throw may land, the dimension of the net change vector."""
+    if n < 0:
+        raise DomainError("sequence length must be nonnegative")
+    a, b = normalize_state(a), normalize_state(b)
+    if capacity is not None and capacity < 1:
+        raise DomainError("capacity must be a positive integer")
+    if sum(a) != sum(b) or (b and not a):
+        return None
+    if capacity is not None and any(x > capacity for x in a):
+        return None
+    deadline = n + len(b)
+    if _dead(a, 0, deadline):
+        return None
+    return a, b, deadline, max(len(a), deadline)
 
 
 def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS) -> int:
@@ -154,9 +167,7 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     independent of dictionary order.  At the last allowed height every ball
     still in hand lands in one addition, kept only if the height stays
     within its top, so no key keeps a ball past it.  Keys with no ball left
-    leave the sweep at once and are checked into the next layer.  Ball
-    conservation makes mismatched totals count zero, and an empty a (no
-    magic balls are ever created) reaches only an empty b.
+    leave the sweep at once and are checked into the next layer.
 
     A state is one int: height k+1 holds its entry plus half - 1 in the
     bits-wide field at bit bits * k, for k < bound, where half =
@@ -164,25 +175,16 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     created and positive entries never exceed the balls of a, so every entry
     of a reached state, and of b, stays in [-S, S]: no field borrows from its
     neighbour.  A height's top is compared with its whole field, so it may
-    exceed the field.  The tops are the only filter: a's entries are checked
-    against the capacity and the deadline before the first step, and every
-    throw lands within its height's top.
+    exceed the field.  The tops are the only filter: `_instance` checks a
+    against the capacity and the deadline, and every throw lands within its
+    height's top.
     """
-    if n < 0:
-        raise DomainError("sequence length must be nonnegative")
-    a, b = normalize_state(a), normalize_state(b)
-    if capacity is not None and capacity < 1:
-        raise DomainError("capacity must be a positive integer")
-    if state_total(a) != state_total(b):
+    instance = _instance(a, b, n, capacity)
+    if instance is None:
         return 0
-    if not a:  # magic balls are never created
-        return int(not b)
-    if capacity is not None and any(x > capacity for x in a):
-        return 0
-    deadline = n + len(b)
-    if _dead(a, 0, deadline):
-        return 0
-    bound = _landing_bound(a, b, n)
+    a, b, deadline, bound = instance
+    if not a:  # nor b: the one sequence throws nothing
+        return 1
 
     span = max(sum(map(abs, a)), sum(map(abs, b)))
     bits = span.bit_length() + 1
@@ -200,7 +202,7 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
             hand = (w & mask) - zero
             if hand >= 0:
                 (levels.setdefault(hand, {}) if hand else done)[(w >> bits) | refill] = ways
-        heights = [j for j in range(1, bound - time + 1) if allowed.allows(time, j)] if levels else []
+        heights = allowed.heights(time, bound - time) if levels else ()
         for j in heights:
             # A positive entry at height j is final after this height; past
             # the deadline it could never land, so only magic may stay there.
@@ -245,27 +247,20 @@ def count_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS)
     return layer.get(empty + sum(map(lshift, b, shifts)), 0)
 
 
-def _live_steps(a: State, b: State, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS,
+def _live_steps(instance, n: int, capacity=None, allowed: ThrowSet = ALL_THROWS,
                 throws: bool = True):
-    """The live steps of the length-n sequences from a to b (both normalized)
-    at time 1: (new state, its throws, the live steps from it at the next
-    time, or None at time n) for each successor that can still reach b at
-    time n, in successor order.  None if n is 0 and a is b; empty if no
-    sequence exists.  Built layer by layer: forward, the steps of every
-    state reachable at each time (each state's successors taken once);
-    then backward from time n, each state's steps whose new state is live,
-    so no branch that dies is kept and no time costs a frame.  Without
-    `throws` a step holds bare heights, which cost nothing to make."""
-    if state_total(a) != state_total(b):
+    """The live steps at time 1 of the length-n sequences of an `_instance`
+    result: (new state, its throws, the live steps from it at the next time,
+    or None at time n) per successor that can still reach b at time n, in
+    successor order; None if n is 0 and a is b, empty if no sequence exists.
+    Built layer by layer: forward, the steps of every state reachable at each
+    time; then backward from time n, the steps whose new state is live, so
+    no time costs a frame.  Without `throws` a step holds bare heights."""
+    if instance is None:
         return []
-    if capacity is not None and any(x > capacity for x in a):
-        return []
-    deadline = n + len(b)
-    if _dead(a, 0, deadline):
-        return []
+    a, b, deadline, bound = instance
     if n == 0:
         return None if a == b else []
-    bound = _landing_bound(a, b, n)
     layers = []  # per time: [(state, [(new state, heights), ...]), ...]
     reach = (a,)
     for time in range(1, n + 1):
@@ -304,12 +299,11 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
     so no time costs a frame.  Throws are emitted by time, then in ascending
     combo order, so each throw tuple is sorted as built.
     """
-    if n < 0:
-        raise DomainError("sequence length must be nonnegative")
-    a, b = normalize_state(a), normalize_state(b)
-    if capacity is not None and capacity < 1:
-        raise DomainError("capacity must be a positive integer")
-    steps = _live_steps(a, b, n, capacity, allowed)
+    instance = _instance(a, b, n, capacity)
+    if instance is None:
+        return []
+    a = instance[0]
+    steps = _live_steps(instance, n, capacity, allowed)
     if steps is None:
         return [JugglingSequence((a,), ())]
     found = []
@@ -329,17 +323,6 @@ def enumerate_sequences(a, b, n: int, capacity=None, allowed: ThrowSet = ALL_THR
         else:
             stack.pop()
     return found
-
-
-def net_change_vector(seq: JugglingSequence, ambient: int) -> tuple[int, ...]:
-    """Sum over throws of e_time - e_{time+height}."""
-    w = [0] * ambient
-    for t in seq.throws:
-        if t.time + t.height > ambient:
-            raise DomainError(f"throw {t} lands outside ambient dimension {ambient}")
-        w[t.time - 1] += 1
-        w[t.time + t.height - 1] -= 1
-    return tuple(w)
 
 
 # Labeled juggling: a labeled state is a tuple of per-height tuples, each
@@ -378,14 +361,9 @@ def _label_components(a, b, n: int) -> tuple[list, list]:
     return [label_component(a, j) for j in labels], [label_component(b, j) for j in labels]
 
 
-def labeled_count(a, b, n: int, capacity=None) -> int:
-    """Number of labeled juggling sequences: the product of per-label counts.
-
-    The product decomposition fails under a shared hand capacity, so passing
-    one is an error.
-    """
-    if capacity is not None:
-        raise DomainError("labeled counting does not support a hand capacity")
+def labeled_count(a, b, n: int) -> int:
+    """Number of labeled juggling sequences: the product of per-label counts
+    (which a shared hand capacity would break, so there is none)."""
     comps_a, comps_b = _label_components(a, b, n)
     return prod(count_sequences(u, v, n) for u, v in zip(comps_a, comps_b))
 
@@ -401,7 +379,8 @@ def enumerate_labeled_sequences(a, b, n: int):
     keeps its own stack, one joint-step iterator per time.
     """
     comps_a, comps_b = _label_components(a, b, n)
-    walks = [_live_steps(u, v, n, throws=False) for u, v in zip(comps_a, comps_b)]
+    walks = [_live_steps(_instance(u, v, n, None), n, throws=False)
+             for u, v in zip(comps_a, comps_b)]
     if [] in walks:
         return []
     if n == 0:

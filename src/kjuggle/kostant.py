@@ -6,15 +6,15 @@ multiplicity by the coordinates the remaining roots can no longer raise, so
 multisets are produced exactly once.  Enumeration is liveness-guided: a
 per-call memo keeps, for each (root index, residual) node, its live entries,
 one per positive part that can still reach zero, with the entries of the
-part's own remainder below it; skipped roots are spliced out, so the walk
-spends one frame per positive part (a root group that the residual cannot
-pay for is stepped past in one) and emits partitions canonically with no
-sort.  The memo is freed by reference counting when the call returns: the
-walk's self-calling closures are deleted, so no cycle holds it.  Counting
-runs forward over a layer of {residual weight: ways}, one (kind, i) group of
-roots at a time, so equal residuals merge; there each residual is packed
-into one int of fixed-width biased fields, so a copy of a root is one
-subtraction and each prune one mask test.  For e_i - e_j roots
+part's own remainder below it; skipped roots are spliced out and walked in
+a loop (a root group that the residual cannot pay for is stepped past at
+once), so only a chosen part costs a frame, and partitions come out
+canonically with no sort.  The memo is freed by reference counting when the
+call returns: the walk's self-calling closures are deleted, so no cycle
+holds it.  Counting runs forward over a layer of {residual weight: ways},
+one (kind, i) group of roots at a time, so equal residuals merge; there each
+residual is packed into one int of fixed-width biased fields, so a copy of a
+root is one subtraction and each prune one mask test.  For e_i - e_j roots
 alone the fields hold prefix sums, so a residual with a negative one is
 dropped as dead, and a group's last root sends every copy left in one move.
 The capacity-restricted count is the same sweep with a cap on each
@@ -248,32 +248,34 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
         ((root, mult), below) per positive part that can still lead to zero,
         below being the live entries of what remains after it (from the next
         root on), or None when nothing remains; empty if w is dead.  A root's
-        own parts come first, mult ascending, then the entries of skipping it
-        (the mult-0 child spliced in place), which is canonical order.  When
-        coordinate i cannot pay for one copy, no root of the (kind, i) group
-        can, and the walk steps past the whole group in one call."""
-        key = (idx, w)
-        out = memo.get(key)
+        own parts come first, mult ascending, then those of the roots after
+        it, walked in a loop and each memoized: canonical order."""
+        out = memo.get((idx, w))
         if out is not None:
             return out
-        out = []
-        if idx < n:
-            root = roots[idx]
-            dead = (min(w) < 0 if idx >= first_mixed else
-                    w[root.i - 1] < 0 or (first_mixed == n and any(w[:root.i - 1])))
-            if not dead and w[root.i - 1] < (2 if root.kind == DOUBLE else 1):
-                out = live(group_end[idx], w)
-            elif not dead:
+        chain = []  # (idx, own entries) of each node walked
+        while out is None:
+            root = roots[idx] if idx < n else None
+            if root is None or (min(w) < 0 if idx >= first_mixed else
+                                w[root.i - 1] < 0 or (first_mixed == n and any(w[:root.i - 1]))):
+                out = memo[idx, w] = []  # past the last root, or dead
+                break
+            if w[root.i - 1] < (2 if root.kind == DOUBLE else 1):
+                chain.append((idx, None))
+                idx = group_end[idx]  # no root of the group can pay
+            else:
+                own = []
                 for mult in range(1, _max_mult(root, w) + 1):
                     child = _subtract(w, root, mult)
                     if not any(child):
-                        out.append(((root, mult), None))
-                    else:
-                        below = live(idx + 1, child)
-                        if below:
-                            out.append(((root, mult), below))
-                out += live(idx + 1, w)
-        memo[key] = out
+                        own.append(((root, mult), None))
+                    elif below := live(idx + 1, child):
+                        own.append(((root, mult), below))
+                chain.append((idx, own))
+                idx += 1
+            out = memo.get((idx, w))
+        for idx, own in reversed(chain):
+            out = memo[idx, w] = own + out if own else out
         return out
 
     def rec(entries, chosen):
@@ -286,17 +288,6 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
     rec(live(0, target), ())
     del live, rec  # each refers to itself: free the memo now, not at a collection
     return found
-
-
-def type_a_reachable(weight) -> bool:
-    """Whether a weight is a nonnegative sum of e_i - e_j roots: all prefix
-    sums nonnegative and total zero."""
-    acc = 0
-    for x in weight:
-        acc += x
-        if acc < 0:
-            return False
-    return acc == 0
 
 
 def count_capacity_restricted(target, allowed, initial, capacity: int) -> int:

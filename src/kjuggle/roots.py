@@ -83,9 +83,6 @@ class Root:
     def __repr__(self):
         return f"Root(kind={self.kind!r}, i={self.i!r}, j={self.j!r})"
 
-    def sort_key(self):
-        return self.key
-
     def __lt__(self, other):
         return self.key < other.key
 

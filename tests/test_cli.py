@@ -464,16 +464,21 @@ CLI_WEIGHTS = [None, "1,1,-1,-1", "2,0,-1,-1", "1,-1", "1,1,1", "0", "", "x"]
 CLI_RANKS = ["-1", "0", "1", "2", "3", "4", "z"]
 
 
-@pytest.fixture(scope="module")
-def partition_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("partitions")
-    for name, text in PARTITION_FILES.items():
-        (path / name).write_text(text)
+def _file_dir(tmp_path_factory, name, files):
+    path = tmp_path_factory.mktemp(name)
+    for file, text in files.items():
+        (path / file).write_text(text)
     return path
 
 
-def _partition_flag(partition_dir, name) -> list:
-    return ["--partition", str(partition_dir / name)] if name else []
+def _file_flag(flag, directory, name) -> list:
+    """flag and the named file of directory; nothing for the name ""."""
+    return [flag, str(directory / name)] if name else []
+
+
+@pytest.fixture(scope="module")
+def partition_dir(tmp_path_factory):
+    return _file_dir(tmp_path_factory, "partitions", PARTITION_FILES)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -491,7 +496,7 @@ def test_bijection_inputs_end_cleanly(partition_dir, action, weight, capacity, r
             argv += [flag, value]
     if roots:
         argv += ["--roots", str(partition_dir / roots)]
-    _ends_cleanly(argv + _partition_flag(partition_dir, partition), as_json)
+    _ends_cleanly(argv + _file_flag("--partition", partition_dir, partition), as_json)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -510,4 +515,126 @@ def test_bcd_inputs_end_cleanly(partition_dir, action, lie_type, rank, weight, m
     for flag, value in (("--type", lie_type), ("--method", method), ("--which", which)):
         if value is not None:
             argv += [flag, value]
-    _ends_cleanly(argv + _partition_flag(partition_dir, partition), as_json)
+    _ends_cleanly(argv + _file_flag("--partition", partition_dir, partition), as_json)
+
+
+# Roots and throws files, by name; "" leaves the flag out, "missing" names no
+# file.  "21" reads as 2e_1 and "20" is rejected as ambiguous.
+ROOT_FILES = {"a2": "1-2\n2-3\n", "a4": "1-2\n1-3\n2-3\n2-4\n3-4\n3-5\n4-5\n",
+              "b2": "1-2\n1+2\n1\n2\n", "c2": "21\n1-2\n", "ambiguous": "20\n",
+              "bad": "1-\n", "junk": "zz\n", "blank": "\n# no roots\n\n", "empty": ""}
+ROOT_FLAGS = ["", "", "", "missing"] + sorted(ROOT_FILES)
+THROW_FILES = {"good": "1:1\n1:2\n2:1\n2:3\n# note\n", "all": "1:1\n1:2\n2:1\n2:2\n3:1\n",
+               "zero": "1:0\n", "letter": "2:x\n", "nocolon": "12\n", "blank": "\n",
+               "empty": ""}
+# Mostly valid values, so that most runs get past the parser.
+CLI_TYPES = ["A", "B", "C", "D"] * 2 + [None, "E"]
+SMALL_RANKS = ["1", "2", "3", "4", "5"] * 2 + ["-1", "0", "z"]
+SMALL_LENGTHS = ["0", "1", "2", "3", "4"] * 2 + [None, "-1", "x"]
+SMALL_STATES = ["1", "2", "1,1", "0,1", "2,1", "1,0,1", "2,0,-1", "3"] * 2 + JS_STATES
+MALFORMED = ["", "x", "1,,1", "1.5"]
+
+
+@st.composite
+def _weight_flags(draw, lie_type, rank, top):
+    """--weight-eps or --weight-alpha, mostly of the length the type and rank
+    need with entries in -top..top, else one entry too many, malformed, or no
+    weight at all."""
+    flag = draw(st.sampled_from(["--weight-eps"] * 3 + ["--weight-alpha"] * 2 + [None]))
+    if flag is None:
+        return []
+    shape = draw(st.sampled_from(["fits", "fits", "fits", "long", "malformed"]))
+    if shape == "malformed":
+        return [f"{flag}={draw(st.sampled_from(MALFORMED))}"]
+    size = int(rank) if rank.lstrip("-").isdigit() else 2
+    length = max(size + (lie_type == "A" and flag == "--weight-eps") + (shape == "long"), 0)
+    # with "=", a value starting with "-" is not taken for an option
+    return [f"{flag}=" + ",".join(str(draw(st.integers(-top, top))) for _ in range(length))]
+
+
+@pytest.fixture(scope="module")
+def roots_dir(tmp_path_factory):
+    return _file_dir(tmp_path_factory, "roots", ROOT_FILES)
+
+
+@pytest.fixture(scope="module")
+def throws_dir(tmp_path_factory):
+    return _file_dir(tmp_path_factory, "throws", THROW_FILES)
+
+
+def _flags(*pairs) -> list:
+    """The flag and its value for each pair whose value is not None."""
+    return [arg for flag, value in pairs if value is not None for arg in (flag, value)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), lie_type=st.sampled_from(CLI_TYPES), rank=st.sampled_from(SMALL_RANKS),
+       roots=st.sampled_from(ROOT_FLAGS), enumerate_=st.booleans(), as_json=st.booleans())
+def test_kostant_inputs_end_cleanly(roots_dir, data, lie_type, rank, roots, enumerate_,
+                                    as_json):
+    # entries up to 1 when listing: B_5 at (3,3,3,3,3) has 10^7 partitions
+    weight = data.draw(_weight_flags(lie_type, rank, 1 if enumerate_ else 3))
+    argv = ["kostant"] + _flags(("--type", lie_type), ("--rank", rank)) + weight
+    argv += _file_flag("--roots", roots_dir, roots) + ["--enumerate"] * enumerate_
+    code, out, _ = _ends_cleanly(argv, as_json)
+    if code == 0 and enumerate_ and not as_json:
+        assert len(out.splitlines()) == 1 + int(out.splitlines()[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(initial=st.sampled_from(SMALL_STATES), terminal=st.sampled_from(SMALL_STATES),
+       length=st.sampled_from(SMALL_LENGTHS), capacity=st.sampled_from(JS_CAPACITIES),
+       throws=st.sampled_from(["missing"] + sorted(THROW_FILES)),
+       spec=st.sampled_from([None, None, "heights=1,2"]), as_json=st.booleans())
+def test_js_throws_file_inputs_end_cleanly(throws_dir, initial, terminal, length, capacity,
+                                           throws, spec, as_json):
+    flags = ["--initial", initial, "--terminal", terminal, "--throws-file",
+             str(throws_dir / throws)]
+    flags += _flags(("--length", length), ("--capacity", capacity), ("--throws", spec))
+    code, _, err = _ends_cleanly(["js", "count"] + flags, as_json)
+    assert _ends_cleanly(["js", "enum"] + flags, as_json)[::2] == (code, err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rank=st.sampled_from(SMALL_RANKS), roots=st.sampled_from(ROOT_FLAGS),
+       as_json=st.booleans())
+def test_permdet_inputs_end_cleanly(roots_dir, rank, roots, as_json):
+    _ends_cleanly(["permdet", "--rank", rank] + _file_flag("--roots", roots_dir, roots), as_json)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(initial=st.sampled_from(SMALL_STATES), terminal=st.sampled_from(SMALL_STATES),
+       length=st.sampled_from(SMALL_LENGTHS), capacity=st.sampled_from(JS_CAPACITIES),
+       dot=st.booleans(), as_json=st.booleans())
+def test_poset_inputs_end_cleanly(initial, terminal, length, capacity, dot, as_json):
+    argv = ["poset", "charpoly", "--initial", initial, "--terminal", terminal]
+    argv += _flags(("--length", length), ("--capacity", capacity))
+    # --dot prints the cover graph, several lines, even with --json
+    code, out, _ = _ends_cleanly(argv + ["--dot"] * dot, as_json and not dot)
+    if code == 0 and dot:
+        assert out.startswith("digraph")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(),
+       command=st.sampled_from(["gf", "lidskii", "closedform", "catalan", "ehrhart", "roots"]),
+       row=st.sampled_from(["2|2", "22|2", "3|3", "11|2", None, "zz"]),
+       upto=st.sampled_from(SMALL_LENGTHS),
+       variant=st.sampled_from([None, "binomial", "multiset", "both", "other"]),
+       which=st.sampled_from(["c45", "c46", "c47", "c48", None, "c99"]),
+       rank=st.sampled_from(SMALL_RANKS), extra=st.sampled_from([None, "1", "3", "0", "-1", "x"]),
+       lie_type=st.sampled_from(CLI_TYPES), as_json=st.booleans(), quiet=st.booleans())
+def test_small_commands_end_cleanly(data, command, row, upto, variant, which, rank, extra,
+                                    lie_type, as_json, quiet):
+    weight = [arg.replace("alpha", "eps") for arg in data.draw(_weight_flags("A", rank, 3))]
+    argv = [command] + _flags(*{
+        "gf": [("--row", row), ("--upto", upto)],
+        "lidskii": [("--variant", variant)],
+        "closedform": [("--which", which), ("--r", rank)],
+        "catalan": [("--r", rank)],
+        "ehrhart": [("--extra", extra)],
+        "roots": [("--type", lie_type), ("--rank", rank)],
+    }[command])
+    if command in ("lidskii", "ehrhart"):
+        argv += weight
+    _ends_cleanly(argv + ["--quiet"] * quiet, as_json)

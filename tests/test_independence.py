@@ -1,9 +1,11 @@
 """The partition side and the juggling side are checked against each other,
 so neither may borrow from the other: kostant.py and juggling.py import
-nothing from each other, and no listing function calls a count.  The B/C/D
-reduction is checked against the direct count, so it reaches no
-count_partitions call and counts its leaves in one place only; a closed
-form's value is checked against a partition count, so it reaches none."""
+nothing from each other, and no listing function calls a count.  The
+juggling count and listings read an instance through one check,
+`_instance`, which reaches no count.  The B/C/D reduction is checked
+against the direct count, so it reaches no count_partitions call and
+counts its leaves in one place only; a closed form's value is checked
+against a partition count, so it reaches none."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ import kjuggle
 PACKAGE = Path(kjuggle.__file__).parent
 ENGINES = ("kostant", "juggling")
 PARTITION_COUNTS = {"count_partitions", "count_capacity_restricted"}
+JUGGLING_ENTRIES = ("count_sequences", "enumerate_sequences", "enumerate_labeled_sequences")
 
 
 def _imported_modules(tree) -> set:
@@ -84,6 +87,19 @@ def test_listings_call_no_count():
         assert _counts_called_by_listings(_tree(module)) == [], module
 
 
+def _instance_readers(tree) -> list:
+    """Of the juggling entry points, those whose calls never reach `_instance`,
+    or reach a count_* call from it."""
+    counts = {name for name in _called_names(tree) if name.startswith("count_")}
+    return [name for name in JUGGLING_ENTRIES
+            if "_instance" not in _reached_functions(tree, name)
+            or _calls_reached(tree, "_instance", counts)]
+
+
+def test_juggling_entries_share_one_instance_check():
+    assert _instance_readers(_tree("juggling")) == []
+
+
 def test_the_reduction_reaches_no_direct_count():
     tree = _tree("bcd")
     reached = _reached_functions(tree, "schmidt_bincer_count")
@@ -137,3 +153,27 @@ def test_the_guards_see_a_planted_breach():
         "    return kostant.count_capacity_restricted(which, (), (), 2)\n")
     assert _calls_reached(planted, "closed_form_value", PARTITION_COUNTS) == [
         ("_seed", "count_capacity_restricted")]
+    planted = ast.parse(
+        "def _instance(a, b, n, capacity):\n"
+        "    return (a, b, n, n)\n"
+        "def _walk(instance):\n"
+        "    return [instance]\n"
+        "def count_sequences(a, b, n, capacity=None):\n"
+        "    return len(_walk(_instance(a, b, n, capacity)))\n"
+        "def enumerate_sequences(a, b, n, capacity=None):\n"
+        "    return _walk((a, b, n, n))\n"
+        "def enumerate_labeled_sequences(a, b, n):\n"
+        "    return [_walk(_instance(a, b, n, None))]\n")
+    assert _instance_readers(planted) == ["enumerate_sequences"]
+    planted = ast.parse(
+        "def _instance(a, b, n, capacity):\n"
+        "    return _check(a, b) and (a, b, n, n)\n"
+        "def _check(a, b):\n"
+        "    return count_sequences(a, b, 0)\n"
+        "def count_sequences(a, b, n, capacity=None):\n"
+        "    return _instance(a, b, n, capacity)\n"
+        "def enumerate_sequences(a, b, n, capacity=None):\n"
+        "    return _instance(a, b, n, capacity)\n"
+        "def enumerate_labeled_sequences(a, b, n):\n"
+        "    return _instance(a, b, n, None)\n")
+    assert _instance_readers(planted) == list(JUGGLING_ENTRIES)

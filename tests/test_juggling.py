@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kjuggle.bijection import net_change_target, time_bounded_roots
+from kjuggle.bijection import gamma_inverse, net_change_target, time_bounded_roots
 from kjuggle.errors import DomainError
 from kjuggle.juggling import (ALL_THROWS, Throw, ThrowSet, count_sequences,
                               enumerate_labeled_sequences, enumerate_sequences,
-                              label_component, labeled_count, net_change_vector,
-                              normalize_state, successors)
-from kjuggle.kostant import count_capacity_restricted, count_partitions
+                              label_component, labeled_count, normalize_state,
+                              successors)
+from kjuggle.kostant import count_capacity_restricted, count_partitions, partition_weight
 from kjuggle.roots import positive_roots
 
 
@@ -313,6 +313,12 @@ class TestStaircasesAgainstKostant:
         assert count_sequences((7, 6, 5, 4, 3, 2, 1), (28,), 7) == 78608134640816
 
 
+def net_change_vector(seq, ambient):
+    """Sum over throws of e_time - e_{time+height}: the weight of the
+    sequence's partition."""
+    return partition_weight(gamma_inverse(seq), ambient)
+
+
 def test_enumerated_sequences_are_valid():
     seqs = enumerate_sequences((2, 1, 0, -1), (1, 1), 3)
     assert seqs
@@ -370,10 +376,6 @@ class TestLabeled:
         a = ((1,), (1,))
         assert labeled_count(a, a, 3) == count_sequences((1, 1), (1, 1), 3)
 
-    def test_capacity_is_rejected(self):
-        with pytest.raises(DomainError):
-            labeled_count(((1, 1),), ((1, 1),), 2, capacity=2)
-
     def test_label_decomposition(self):
         state = ((1, 2, 1), (1, -1, 0), (0, 1, 2))
         assert label_component(state, 0) == (1, 1)
@@ -400,6 +402,56 @@ def test_throwset_validation():
     with pytest.raises(DomainError):
         ThrowSet.from_throws([(0, 1)])
     ts = ThrowSet.from_throws([(1, 2), (2, 1)])
-    assert ts.allows(1, 2) and not ts.allows(1, 1)
-    assert ALL_THROWS.allows(9, 9)
+    assert tuple(ts.heights(1, 9)) == (2,) and tuple(ts.heights(2, 9)) == (1,)
+    assert tuple(ALL_THROWS.heights(9, 9)) == tuple(range(1, 10))
     assert Throw(2, 3).height == 3
+
+
+def _throw_set_forms():
+    """(throw set, the (time, height) pairs it allows, or None for every
+    pair) over seeded sets of every form, duplicates included."""
+    rng = random.Random(1717)
+    forms = [(ALL_THROWS, None), (ThrowSet.from_throws([]), set())]
+    for _ in range(20):
+        heights = [rng.randint(1, 8) for _ in range(rng.randint(0, 6))]
+        heights += heights[:2]  # duplicates
+        forms.append((ThrowSet.from_heights(heights),
+                       {(t, h) for t in range(-1, 12) for h in heights}))
+        pairs = [(rng.randint(1, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 12))]
+        pairs += pairs[:3]
+        forms.append((ThrowSet.from_throws(iter(pairs)), set(pairs)))
+    return forms
+
+
+def test_throwset_heights_match_a_brute_force_filter():
+    # times past the explicit pairs' (and before them) are missing from the
+    # table; tops <= 0 allow nothing
+    for ts, pairs in _throw_set_forms():
+        for time in range(-1, 12):
+            for top in range(-2, 11):
+                expected = [h for h in range(1, top + 1) if pairs is None or (time, h) in pairs]
+                got = ts.heights(time, top)
+                assert list(got) == expected, (pairs, time, top)
+                assert list(got) == sorted(set(got))
+
+
+def test_count_asks_for_heights_once_per_time_step(monkeypatch):
+    """count_sequences asks its throw set for a step's heights at most once
+    per time step, in time order, and never once per height: 3,000 calls at
+    the length-3,000 instance below."""
+    times = []
+    original = ThrowSet.heights
+
+    def counted(self, time, top):
+        times.append(time)
+        return original(self, time, top)
+
+    monkeypatch.setattr(ThrowSet, "heights", counted)
+    for a, b, n in (((1, 1), (1, 1), 5), ((2, 1, 0, -1), (1, 1), 3), ((2,), (2,), 9)):
+        for allowed in (ALL_THROWS, ThrowSet.from_heights((1,)), ThrowSet.from_throws([(1, 2)])):
+            times.clear()
+            count_sequences(a, b, n, None, allowed)
+            assert len(times) <= n and times == sorted(set(times)), (a, b, n)
+    times.clear()
+    assert count_sequences((1,), (1,), 3000, 1, ThrowSet.from_heights((1,))) == 1
+    assert len(times) == 3000

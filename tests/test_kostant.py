@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from kjuggle.errors import DomainError
 from kjuggle.kostant import (canonical_roots, count_capacity_restricted,
                              count_partitions, count_weighted,
                              enumerate_partitions, make_partition,
-                             partition_weight, type_a_reachable)
+                             partition_weight)
 from kjuggle.roots import (ambient_dim, eminus, eplus, esingle, highest_root,
                            positive_roots, root_to_weight, weight_from_simple)
 
@@ -81,7 +81,7 @@ def _random_instance(rng):
 
 
 def _canonical_key(partition):
-    return tuple((root.sort_key(), mult) for root, mult in partition)
+    return tuple((root.key, mult) for root, mult in partition)
 
 
 def _assert_canonical_listing(parts, mu):
@@ -133,6 +133,19 @@ def test_enumeration_depth_is_one_frame_per_root():
     last = esingle(20)
     mu = root_to_weight(last, 20)
     assert enumerate_partitions(mu, roots) == [((last, 1),)]
+
+
+@pytest.mark.parametrize("roots, weight", [
+    # 1,500 roots of one (kind, i) group: all but the first are skipped
+    ([eminus(1, j) for j in range(2, 1502)], {1: 1, 2: -1}),
+    # 1,500 groups of one simple root each: all but the last are stepped past
+    ([eminus(i, i + 1) for i in range(1, 1501)], {1500: 1, 1501: -1}),
+])
+def test_skipped_roots_and_groups_take_no_frame(roots, weight):
+    mu = tuple(weight.get(k, 0) for k in range(1, 1502))
+    root = eminus(*sorted(weight))
+    assert count_partitions(mu, roots) == 1
+    assert enumerate_partitions(mu, roots) == [((root, 1),)]
 
 
 def test_count_weighted_is_linear():
@@ -252,8 +265,10 @@ def test_restriction_monotonicity():
 
 
 def test_type_a_reachability_criterion():
+    # a nonnegative sum of e_i - e_j roots: every prefix sum nonnegative, total zero
     for mu in product(range(-2, 3), repeat=4):
-        expected = type_a_reachable(mu)
+        sums = list(accumulate(mu))
+        expected = min(sums) >= 0 and sums[-1] == 0
         assert (count_partitions(mu, A3) > 0) == expected, mu
 
 
