@@ -475,6 +475,30 @@ def _cmd_selftest(args) -> int:
 # --- parser --------------------------------------------------------------
 
 
+# Options whose value is a comma list.  argparse takes a separate value led
+# by a negative entry ("-1,2") for an unknown option, so such a value is
+# joined to its option ("--initial=-1,2") before parsing.
+_LIST_OPTIONS = frozenset(("--weight-eps", "--weight-alpha", "--initial", "--terminal"))
+
+
+def _join_negative_lists(args) -> list:
+    args = list(args)
+    out = []
+    k = 0
+    while k < len(args):
+        arg = args[k]
+        if arg == "--":  # every later token is a positional
+            return out + args[k:]
+        value = args[k + 1] if k + 1 < len(args) else ""
+        if arg in _LIST_OPTIONS and value[:1] == "-" and value[1:2].isdigit():
+            out.append(f"{arg}={value}")
+            k += 2
+        else:
+            out.append(arg)
+            k += 1
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as the one line `<prog>: error: <message>` on
     stderr and exits 2; sub-parsers are built with the same class."""
@@ -595,7 +619,7 @@ def _parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     """Run one command; returns the process exit status."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_negative_lists(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -16,7 +16,7 @@ from .bijection import net_change_target, time_bounded_roots
 from .errors import DomainError, InvariantViolation
 from .juggling import count_sequences, normalize_state
 from .kostant import canonical_roots, count_capacity_restricted
-from .roots import MINUS, eminus, positive_roots
+from .roots import MINUS, positive_roots
 
 
 # ---------------------------------------------------------------------------
@@ -32,22 +32,16 @@ def count_matrices(rank: int, allowed):
     permutations biject with chains from 1 to rank+1 and the permanent counts
     partitions of e1 - e_{rank+1}.
     """
-    roots = canonical_roots(allowed)
     valid = set(positive_roots("A", rank))
-    for root in roots:
-        if root not in valid or root.kind != MINUS:
-            raise DomainError(f"{root} is not an e_i - e_j root of rank {rank}")
-    members = set(roots)
     m = [[0] * rank for _ in range(rank)]
     n = [[0] * rank for _ in range(rank)]
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            if j >= i and eminus(i, j + 1) in members:
-                m[i - 1][j - 1] = 1
-                n[i - 1][j - 1] = 1
-            elif j == i - 1:
-                m[i - 1][j - 1] = 1
-                n[i - 1][j - 1] = -1
+    for root in canonical_roots(allowed):
+        if root not in valid or root.kind != MINUS:
+            raise DomainError(f"{root} is not an e_i - e_j root of rank {rank}")
+        m[root.i - 1][root.j - 2] = n[root.i - 1][root.j - 2] = 1
+    for i in range(1, rank):
+        m[i][i - 1] = 1
+        n[i][i - 1] = -1
     return m, n
 
 

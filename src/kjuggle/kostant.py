@@ -19,12 +19,21 @@ alone the fields hold prefix sums, so a residual with a negative one is
 dropped as dead, and a group's last root sends every copy left in one move.
 The capacity-restricted count is the same sweep with a cap on each
 coordinate, checked when the sweep reaches it.
+
+What depends only on the roots is built once per process, in two bounded
+tables of plain tuples: a root set's record (its canonical order, whether it
+is pure e_i - e_j, where its other kinds start and where each group ends),
+keyed by the roots as given, and the sweep plan (each group's field shift,
+prune mask, level divisor and packed root deltas), keyed by the canonical
+roots, the field width and the target length.  Only a root set the process
+has seen before gains; every check on the input still runs on every call.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
-from operator import attrgetter
+from functools import lru_cache
+from itertools import accumulate, groupby, repeat
+from operator import attrgetter, lshift
 
 from .errors import DomainError
 from .roots import DOUBLE, MINUS, PLUS, Root
@@ -32,10 +41,39 @@ from .roots import DOUBLE, MINUS, PLUS, Root
 Partition = tuple  # tuple[tuple[Root, int], ...]
 
 
-def canonical_roots(roots) -> tuple[Root, ...]:
-    """Deduplicate and sort a root collection into canonical order."""
+# Bounds on the per-process tables below: enough for every root set (and
+# plan) that one pass of the acceptance families touches, so a repeated set
+# is found again, while no stream of distinct sets can grow them without end.
+ROOT_SET_CACHE = 1024
+PLAN_CACHE = 1024
+
+
+@lru_cache(maxsize=ROOT_SET_CACHE)
+def _root_set(roots: tuple) -> tuple:
+    """The record of a root collection, given as a tuple: (canonical roots,
+    pure, first_mixed, group_end).  pure says every root is e_i - e_j;
+    first_mixed is the index of the first root of another kind (the length
+    when pure); group_end[k] is the index past root k's (kind, i) group."""
     unique = {root.key: root for root in roots}
-    return tuple([unique[key] for key in sorted(unique)])
+    canon = tuple([unique[key] for key in sorted(unique)])
+    if canon == roots:  # already canonical: keep one tuple, not two
+        canon = roots
+    n = len(canon)
+    first_mixed = next((k for k, r in enumerate(canon) if r.kind != MINUS), n)
+    group_end = [n] * n
+    for k in range(n - 2, -1, -1):
+        same = canon[k].kind == canon[k + 1].kind and canon[k].i == canon[k + 1].i
+        group_end[k] = group_end[k + 1] if same else k + 1
+    return canon, first_mixed == n, first_mixed, tuple(group_end)
+
+
+def canonical_roots(roots) -> tuple[Root, ...]:
+    """Deduplicate and sort a root collection into canonical order.
+
+    The order is looked up in a bounded per-process table keyed by the
+    collection as a tuple, so a root set seen before costs one lookup.
+    """
+    return _root_set(tuple(roots))[0]
 
 
 def partition_weight(partition: Partition, ambient: int) -> tuple[int, ...]:
@@ -90,31 +128,25 @@ def _check_ambient(ambient: int, roots) -> None:
             raise DomainError(f"root {root} does not fit in ambient dimension {ambient}")
 
 
-def _sweep(targets, roots, ceiling=None) -> int:
-    """The layer DP of count_weighted over a {weight: ways} mapping and
-    canonical roots that fit every target, on packed residuals; `ceiling`,
-    if given (e_i - e_j roots only), caps w[i] as a level at group i's entry
-    (a coordinate with no group of its own is the caller's to check)."""
-    span = max((sum(map(abs, w)) for w in targets), default=0)
-    half = 1 << span.bit_length()
-    bits = span.bit_length() + 1
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(roots: tuple, bits: int, length: int) -> tuple:
+    """The sweep plan of canonical roots on residuals of `length` bits-wide
+    fields: (bias, groups), one group per (kind, i) group of roots, each
+    (shift, keep, want, need, deltas, guards, last).  Coordinate i's field
+    starts at bit shift; a residual is pruned at group entry when
+    w & keep != want; need is the level divisor; deltas holds one copy of
+    each root, packed; guards, in an e_i + e_j group only (else None), holds
+    the bit shift of each root's second coordinate; last is the delta a pure
+    group sends all its remaining copies with (None in a mixed set, where it
+    stays in deltas)."""
+    half = 1 << bits - 1
     mask = (half << 1) - 1
-    bias = sum(half << bits * k for k in range(max(map(len, targets), default=0)))
+    bias = sum(half << bits * k for k in range(length))
     pure = not roots or roots[-1].kind == MINUS  # canonical order: e_i - e_j first
-    layer: dict = {}
-    for target, ways in targets.items():
-        if pure:
-            target = tuple(accumulate(target))
-            if target and target[-1]:  # a nonzero total has no partition
-                continue
-        w = bias + sum(x << bits * k for k, x in enumerate(target))
-        layer[w] = layer.get(w, 0) + ways
+    groups = []
     for (kind, i), group in groupby(roots, key=attrgetter("kind", "i")):
-        if not layer:
-            return 0
+        group = tuple(group)
         shift = bits * (i - 1)
-        need = 2 if kind == DOUBLE else 1
-        cap = ceiling[i - 1] if ceiling is not None else span  # no level passes span
         # Prunes, w & keep != want: a pure set never changes the prefix sums
         # below i again, and none may be negative; in a mixed set nothing
         # raises coordinate i from its e_i - e_j group on, nor any
@@ -125,6 +157,43 @@ def _sweep(targets, roots, ceiling=None) -> int:
             keep = want = half << shift
         else:
             keep = want = bias
+        deltas = []
+        for root in group:
+            if pure:  # prefix sums i..j-1 each lose one
+                deltas.append(((1 << bits * (root.j - 1)) - (1 << shift)) // mask)
+            else:
+                deltas.append(sum(x << bits * (k - 1) for k, x in root.terms))
+        last = deltas.pop() if pure else None
+        guards = tuple(bits * (root.j - 1) for root in group) if kind == PLUS else None
+        groups.append((shift, keep, want, 2 if kind == DOUBLE else 1, tuple(deltas), guards, last))
+    return bias, tuple(groups)
+
+
+def _sweep(targets, roots, ceiling=None) -> int:
+    """The layer DP of count_weighted over a {weight: ways} mapping and
+    canonical roots that fit every target, on packed residuals, following
+    the roots' sweep plan (built once per process for each canonical root
+    tuple, field width and target length); `ceiling`, if given (e_i - e_j
+    roots only), caps w[i] as a level at group i's entry (a coordinate with
+    no group of its own is the caller's to check)."""
+    span = max((sum(map(abs, w)) for w in targets), default=0)
+    bits = span.bit_length() + 1
+    half = 1 << bits - 1
+    mask = (half << 1) - 1
+    bias, groups = _plan(roots, bits, max(map(len, targets), default=0))
+    pure = not roots or roots[-1].kind == MINUS
+    layer: dict = {}
+    for target, ways in targets.items():
+        if pure:
+            target = tuple(accumulate(target))
+            if target and target[-1]:  # a nonzero total has no partition
+                continue
+        w = bias + sum(map(lshift, target, range(0, bits * len(target), bits)))
+        layer[w] = layer.get(w, 0) + ways
+    for shift, keep, want, need, deltas, guards, last in groups:
+        if not layer:
+            return 0
+        cap = ceiling[shift // bits] if ceiling is not None else span  # no level passes span
         out: dict = {}
         levels: dict = {}
         for w, ways in layer.items():
@@ -137,23 +206,13 @@ def _sweep(targets, roots, ceiling=None) -> int:
                 levels.setdefault(c, {})[w] = ways
             else:
                 out[w] = ways
+        if not levels:
+            layer = out
+            continue
         # One copy of each root is delta; an e_i + e_j copy is sent only
         # while w[j] > 0, that is while w & sel >= lo (sel = 0: always).
-        steps = []
-        for root in group if levels else ():
-            sel = lo = 0
-            if pure:  # prefix sums i..j-1 each lose one
-                delta = ((1 << bits * (root.j - 1)) - (1 << shift)) // mask
-            else:
-                delta = 0
-                for k, x in root.terms:
-                    delta += x << bits * (k - 1)
-            if kind == PLUS:
-                j = bits * (root.j - 1)
-                sel, lo = mask << j, (half + 1) << j
-            steps.append((delta, sel, lo))
-        last = steps.pop()[0] if pure and steps else None
-        for delta, sel, lo in steps:
+        for delta, guard in zip(deltas, guards or repeat(0)):
+            sel, lo = (mask << guard, (half + 1) << guard) if guard else (0, 0)
             nxt: dict = {}
             above: dict = {}
             for c in range(max(levels), -1, -1):
@@ -230,16 +289,11 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
     """All partitions of the target into allowed roots, canonically ordered;
     each memo node is expanded once, and the walk follows live entries only."""
     target = tuple(target)
-    roots = canonical_roots(allowed)
+    roots, _, first_mixed, group_end = _root_set(tuple(allowed))
     _check_ambient(len(target), roots)
     if not any(target):
         return [()]
     n = len(roots)
-    first_mixed = next((k for k, r in enumerate(roots) if r.kind != MINUS), n)
-    group_end = [n] * n  # the index past root k's (kind, i) group
-    for k in range(n - 2, -1, -1):
-        same = roots[k].kind == roots[k + 1].kind and roots[k].i == roots[k + 1].i
-        group_end[k] = group_end[k + 1] if same else k + 1
     memo: dict = {}
     found: list[Partition] = []
 
@@ -296,10 +350,10 @@ def count_capacity_restricted(target, allowed, initial, capacity: int) -> int:
     with negative entry at j stays at most the capacity.
     """
     target = tuple(target)
-    roots = canonical_roots(allowed)
+    roots, pure = _root_set(tuple(allowed))[:2]
     ambient = len(target)
     _check_ambient(ambient, roots)
-    if roots and roots[-1].kind != MINUS:  # canonical order lists e_i - e_j roots first
+    if not pure:
         raise DomainError("capacity-restricted counting is defined only for e_i - e_j roots")
     if capacity < 1:
         raise DomainError("capacity must be a positive integer")

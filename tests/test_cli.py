@@ -358,6 +358,31 @@ def test_ehrhart_cli(capsys):
     assert payload["coefficients"] == ["1", "1"]
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (["kostant", "--type", "A", "--rank", "1"], "--weight-eps", "-1,1"),
+    (["kostant", "--type", "A", "--rank", "2"], "--weight-alpha", "-1,2"),
+    (["bcd", "count", "--type", "B", "--rank", "2"], "--weight-alpha", "-1,1"),
+    (["bcd", "count", "--type", "B", "--rank", "2"], "--weight-eps", "-2,1"),
+    (["lidskii"], "--weight-eps", "-1,0,1"),
+    (["js", "count", "--terminal", "2", "--length", "3"], "--initial", "-1,3"),
+    (["js", "count", "--initial", "1,1", "--length", "2"], "--terminal", "-1,3"),
+    (["poset", "charpoly", "--terminal", "1", "--length", "2"], "--initial", "-1,2"),
+    (["poset", "charpoly", "--initial", "1", "--length", "2"], "--terminal", "-1"),
+])
+def test_negative_leading_list_reads_the_same_spaced_or_joined(capsys, command, flag, value):
+    spaced = run(capsys, *command, flag, value)
+    assert spaced == run(capsys, *command, f"{flag}={value}")
+    assert spaced[0] in (0, 1)
+
+
+def test_only_a_list_option_joins_its_negative_value():
+    assert cli._join_negative_lists(["js", "--initial", "-1", "--terminal", "1"]) == [
+        "js", "--initial=-1", "--terminal", "1"]
+    for argv in (["js", "--initial", "--terminal", "1"], ["js", "--length", "-1"],
+                 ["js", "--", "--initial", "-1"], ["js", "--initial"]):
+        assert cli._join_negative_lists(argv) == argv
+
+
 def test_usage_errors_exit_two(capsys):
     assert dispatch(["not-a-command"]) == 2
     out, err = capsys.readouterr()

@@ -30,6 +30,28 @@ class TestPermDet:
         assert n == [[1, 1, 0, 0], [-1, 1, 1, 0], [0, -1, 1, 1], [0, 0, -1, 1]]
         assert perm_det_count(4, lam) == 5
 
+    def test_matrices_match_the_pairwise_probe(self):
+        def probe(rank, allowed):
+            """Entry (i, j) from asking, for every pair, whether e_i - e_{j+1}
+            is allowed, and the descent entries below the diagonal."""
+            members = set(allowed)
+            m = [[0] * rank for _ in range(rank)]
+            n = [[0] * rank for _ in range(rank)]
+            for i in range(1, rank + 1):
+                for j in range(1, rank + 1):
+                    if j >= i and eminus(i, j + 1) in members:
+                        m[i - 1][j - 1] = n[i - 1][j - 1] = 1
+                    elif j == i - 1:
+                        m[i - 1][j - 1], n[i - 1][j - 1] = 1, -1
+            return m, n
+
+        rnd = random.Random(1812)
+        for _ in range(600):
+            rank = rnd.randint(1, 9)
+            lam = [r for r in positive_roots("A", rank) if rnd.random() < rnd.random()]
+            rnd.shuffle(lam)
+            assert count_matrices(rank, lam) == probe(rank, lam), (rank, lam)
+
     def test_empty_set_counts_zero(self):
         assert perm_det_count(3, []) == 0
 

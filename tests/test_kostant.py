@@ -11,7 +11,7 @@ from kjuggle.kostant import (canonical_roots, count_capacity_restricted,
                              count_partitions, count_weighted,
                              enumerate_partitions, make_partition,
                              partition_weight)
-from kjuggle.roots import (ambient_dim, eminus, eplus, esingle, highest_root,
+from kjuggle.roots import (MINUS, ambient_dim, eminus, eplus, esingle, highest_root,
                            positive_roots, root_to_weight, weight_from_simple)
 
 A3 = positive_roots("A", 3)
@@ -378,3 +378,102 @@ class TestCapacityRestricted:
     def test_rejects_bad_capacity(self):
         with pytest.raises(DomainError):
             count_capacity_restricted((0, 0), [eminus(1, 2)], (0,), 0)
+
+
+# ---------------------------------------------------------------------------
+# The per-process root-set and sweep-plan tables.
+
+def _clear_tables():
+    kostant._root_set.cache_clear()
+    kostant._plan.cache_clear()
+
+
+def _reference_canonical(roots):
+    """Canonical order as built before the tables: deduplicate, then sort."""
+    unique = {root.key: root for root in roots}
+    return tuple([unique[key] for key in sorted(unique)])
+
+
+def _every_route(mu, allowed, far):
+    """Each cached entry point on one instance.  The far weight, with a
+    negative first coordinate, has no partition but sets the field width."""
+    allowed = tuple(allowed)
+    routes = [canonical_roots(allowed), count_partitions(mu, allowed),
+              count_weighted({mu: 2, far: 3}, allowed), enumerate_partitions(mu, allowed)]
+    if all(root.kind == MINUS for root in allowed):
+        routes += [count_capacity_restricted(mu, allowed, (1, 2), capacity) for capacity in (1, 3)]
+    return routes
+
+
+def test_tables_give_the_same_results_cold_and_warm():
+    rng = random.Random(1818)
+    widths = set()
+    for _ in range(150):
+        mu, allowed = _random_instance(rng)
+        far = rng.choice((1, 40, 10 ** 5, 10 ** 30))
+        far = (-far,) + (0,) * (len(mu) - 2) + (far,)
+        widths.add((sum(map(abs, far)) + 1).bit_length())
+        _clear_tables()
+        cold = _every_route(mu, allowed, far)
+        assert cold == _every_route(mu, allowed, far), (mu, allowed)
+        kostant._plan.cache_clear()  # a known root set, a new plan
+        assert cold == _every_route(mu, allowed, far), (mu, allowed)
+        canon, count, weighted, parts = cold[:4]
+        assert canon == _reference_canonical(allowed)
+        assert count == len(parts) and weighted == 2 * count
+    assert len(widths) == 4
+
+
+@pytest.mark.parametrize("form", ["list", "tuple", "generator", "set", "duplicates", "reversed"])
+def test_tables_take_roots_in_any_form(form):
+    make = {"list": list, "tuple": tuple, "generator": lambda r: (x for x in r), "set": set,
+            "duplicates": lambda r: list(r) + list(r[::2]), "reversed": lambda r: r[::-1]}[form]
+    rng = random.Random(3131)
+    for _ in range(40):
+        mu, allowed = _random_instance(rng)
+        expected = [canonical_roots(allowed), count_partitions(mu, allowed),
+                    count_weighted({mu: 1}, allowed), enumerate_partitions(mu, allowed)]
+        for cold in (True, False):
+            if cold:
+                _clear_tables()
+            got = [canonical_roots(make(allowed)), count_partitions(mu, make(allowed)),
+                   count_weighted({mu: 1}, make(allowed)), enumerate_partitions(mu, make(allowed))]
+            assert got == expected, (form, mu, allowed)
+        if all(root.kind == MINUS for root in allowed):
+            assert (count_capacity_restricted(mu, make(allowed), (1,), 2)
+                    == count_capacity_restricted(mu, allowed, (1,), 2))
+
+
+def test_canonical_roots_matches_dict_and_sort():
+    rng = random.Random(77)
+    pool = [root for lie_type, rank in (("A", 5), ("B", 5), ("C", 5), ("D", 5))
+            for root in positive_roots(lie_type, rank)]
+    for _ in range(300):
+        roots = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+        assert canonical_roots(roots) == _reference_canonical(roots), roots
+        assert canonical_roots(roots) == _reference_canonical(roots), roots
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_partitions((1, -1), [eminus(1, 3)]),
+     "root 1-3 does not fit in ambient dimension 2"),
+    (lambda: count_weighted({(1, 0, -1): 1, (1, -1): 1}, [eminus(1, 3)]),
+     "root 1-3 does not fit in ambient dimension 2"),
+    (lambda: enumerate_partitions((1, -1), [eminus(1, 3)]),
+     "root 1-3 does not fit in ambient dimension 2"),
+    (lambda: count_capacity_restricted((1, -1), [eminus(1, 3)], (), 2),
+     "root 1-3 does not fit in ambient dimension 2"),
+    (lambda: count_capacity_restricted((1, 0, -1), [eminus(1, 3)], (), 0),
+     "capacity must be a positive integer"),
+    (lambda: count_capacity_restricted((1, 1, 0), [eminus(1, 3), eplus(1, 2)], (), 2),
+     "capacity-restricted counting is defined only for e_i - e_j roots"),
+])
+def test_every_call_raises_cold_and_warm(call, message):
+    _clear_tables()
+    for warm_up in (None, None, lambda: count_partitions((1, 0, -1), [eminus(1, 3)]),
+                    lambda: count_partitions((1, 1, 0), [eminus(1, 3), eplus(1, 2)])):
+        if warm_up:  # the root set is known from a valid call too
+            warm_up()
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message

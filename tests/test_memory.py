@@ -12,12 +12,13 @@ import gc
 
 import pytest
 
+from kjuggle import kostant
 from kjuggle.bcd import BcdState, enumerate_bcd_sequences, schmidt_bincer_count
 from kjuggle.bijection import verify_correspondence
 from kjuggle.closedforms import _lidskii_table, ehrhart_fit, lidskii_count
 from kjuggle.juggling import count_sequences, enumerate_labeled_sequences, enumerate_sequences
-from kjuggle.kostant import (count_capacity_restricted, count_partitions, count_weighted,
-                             enumerate_partitions)
+from kjuggle.kostant import (canonical_roots, count_capacity_restricted, count_partitions,
+                             count_weighted, enumerate_partitions)
 from kjuggle.poset import build_poset, characteristic_polynomial
 from kjuggle.roots import positive_roots
 
@@ -48,6 +49,36 @@ CALLS = {
     "lidskii_count_cold": _cold_lidskii,
     "ehrhart_fit": lambda: ehrhart_fit((1, 0, 0, -1)),
 }
+
+
+# Each entry point that reads kostant's per-process tables, with the tables
+# it must find its entries in when called again.
+CACHED = {
+    "canonical_roots": (lambda: canonical_roots(list(A4)), ("_root_set",)),
+    "count_partitions": (CALLS["count_partitions"], ("_root_set", "_plan")),
+    "count_weighted": (CALLS["count_weighted"], ("_root_set", "_plan")),
+    "count_capacity_restricted": (CALLS["count_capacity_restricted"], ("_root_set", "_plan")),
+    "enumerate_partitions": (CALLS["enumerate_partitions"], ("_root_set",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_warm_table_hit_leaves_no_cyclic_garbage(name):
+    call, tables = CACHED[name]
+    call()
+    gc.collect()
+    before = [getattr(kostant, table).cache_info() for table in tables]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    after = [getattr(kostant, table).cache_info() for table in tables]
+    for old, new in zip(before, after):
+        assert new.hits > old.hits and new.misses == old.misses
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
