@@ -106,26 +106,27 @@ def enumerate_bcd_sequences(lie_type: str, initial: BcdState, n: int):
 
     if dead(initial, 0):
         return []
+    if n < 1:
+        return [BcdSequence((initial,), ())] if initial.empty else []
     found = []
-    states = [initial]
-    events: list[tuple] = []
-
-    def rec(time):
-        if time > n:
-            if states[-1].empty:
-                found.append(BcdSequence(tuple(states), tuple(sorted(events))))
-            return
-        for new, evs in bcd_successors(lie_type, states[-1], time, n):
+    # stack[t] iterates the steps at time t + 1, with the states and events
+    # before them; events come by time, each step's sorted, so sorted as built.
+    stack = [(iter(bcd_successors(lie_type, initial, 1, n)), (initial,), ())]
+    while stack:
+        steps, states, events = stack[-1]
+        time = len(stack)
+        for new, evs in steps:
             if dead(new, time):
                 continue
-            states.append(new)
-            events.extend((time, kind, h) for kind, h in evs)
-            rec(time + 1)
-            del events[len(events) - len(evs):]
-            states.pop()
-
-    rec(1)
-    del rec  # it refers to itself: free the walk now, not at a collection
+            path = states + (new,)
+            record = events + tuple([(time, kind, h) for kind, h in evs])
+            if time < n:
+                stack.append((iter(bcd_successors(lie_type, new, time + 1, n)), path, record))
+                break
+            if new.empty:
+                found.append(BcdSequence(path, record))
+        else:
+            stack.pop()
     return found
 
 
@@ -158,16 +159,16 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
     checked weight: a configuration is a multiset of walked roots, and its
     residual is mu minus their sum.
 
-    A node packs the residual's prefix sums into one int, field k at bit
-    bits * k biased by half = 2^(bits-1), with half above every prefix sum
-    of mu and at least 2.  A walked root's prefix sums lie in 0..2, so one
-    copy is one subtraction that never borrows across fields, and a child
-    is kept iff every field keeps its top bit (no prefix sum below zero).
-    A node's children take copies of the roots after the node's own last
-    one, all copies of one root in a loop, so each multiset is one node and
-    the recursion is no deeper than the number of walked roots.  A node
-    whose top field equals half (coordinate sum zero) is a leaf; walked
-    roots of positive sum cannot extend it.
+    A residual packs its prefix sums into one int, field k at bit bits * k
+    biased by half = 2^(bits-1), with half above every prefix sum of mu and
+    at least 2.  A walked root's prefix sums lie in 0..2, so one copy is one
+    subtraction that never borrows across fields, and a copy is kept iff
+    every field keeps its top bit (no prefix sum below zero).  The walk takes
+    the walked roots one at a time, in canonical order: each residual found
+    before a root sends 1, 2, ... copies of it while that holds, into the
+    same mapping, so equal residuals merge and each is visited once per root
+    however many configurations reach it.  The residuals whose top field
+    equals half (coordinate sum zero) are the leaves.
     """
     pre = list(accumulate(mu))
     if min(pre) < 0 or literal and pre[-1] != 0:
@@ -178,30 +179,19 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
     tops = half * (((1 << bits * rank) - 1) // mask)  # half in every field
     shifts = range(0, bits * rank, bits)
     top = shifts[-1]
-    steps = _walked_steps(lie_type, rank, literal, bits)
-    count = len(steps)
-    root = tops + sum(map(lshift, pre, shifts))
-    packed = {root: 1} if root >> top == half else {}  # leaf node -> configurations
-
-    def rec(start, w):
-        for k in range(start, count):
-            step = steps[k]
-            child = w - step
-            while child & tops == tops:
-                if child >> top == half:
-                    packed[child] = packed.get(child, 0) + 1
-                    if not literal:
-                        break
-                rec(k + 1, child)
-                child -= step
-
-    if literal or not packed:
-        rec(0, root)
-    del rec  # it refers to itself
+    layer = {tops + sum(map(lshift, pre, shifts)): 1}  # residual -> configurations
+    for step in _walked_steps(lie_type, rank, literal, bits):
+        # the residuals from before this root that can take a copy of it
+        for w, ways in [(w - step, ways) for w, ways in layer.items()
+                        if (w - step) & tops == tops]:
+            while w & tops == tops:
+                layer[w] = layer.get(w, 0) + ways
+                w -= step
     leaves = {}
-    for w, ways in packed.items():
-        sums = [(w >> s & mask) - half for s in shifts]
-        leaves[tuple(map(sub, sums, [0] + sums))] = ways
+    for w, ways in layer.items():
+        if w >> top == half:
+            sums = [(w >> s & mask) - half for s in shifts]
+            leaves[tuple(map(sub, sums, [0] + sums))] = ways
     return leaves
 
 

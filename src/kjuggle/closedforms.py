@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, prod
+from operator import ge, sub
 
 from .bijection import net_change_target, time_bounded_roots
 from .errors import DomainError, InvariantViolation
@@ -127,37 +129,20 @@ def multiset_coefficient(n: int, k: int) -> int:
 
 def dominating_compositions(total: int, pattern):
     """Weak compositions of `total`, len(pattern) parts, whose prefix sums
-    stay at or above the pattern's prefix sums."""
-    pattern = tuple(pattern)
-    if not pattern:
+    stay at or above the pattern's prefix sums, in lexicographic order.
+
+    A composition is read off its prefix sums: nondecreasing, none below
+    the first one the pattern allows, ending at `total`, and in
+    lexicographic order exactly as the parts are."""
+    need = tuple(accumulate(pattern))
+    if not need or total < 0:  # no parts, or no composition at all
         if total == 0:
             yield ()
         return
-    need = []
-    acc = 0
-    for x in pattern:
-        acc += x
-        need.append(acc)
-    if total < need[-1]:
-        return
-    parts = len(pattern)
-    out = [0] * parts
-
-    def rec(pos, used):
-        if pos == parts:
-            if used == total:
-                yield tuple(out)
-            return
-        remaining = total - used
-        low = max(0, need[pos] - used)
-        for value in range(low, remaining + 1):
-            out[pos] = value
-            yield from rec(pos + 1, used + value)
-
-    try:
-        yield from rec(0, 0)
-    finally:
-        del rec  # it refers to itself: free it even if the caller stops early
+    for sums in combinations_with_replacement(range(max(need[0], 0), total + 1), len(need) - 1):
+        sums += (total,)
+        if all(map(ge, sums, need)):
+            yield tuple(map(sub, sums, (0,) + sums[:-1]))
 
 
 @lru_cache(maxsize=None)

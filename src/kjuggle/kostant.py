@@ -3,30 +3,30 @@
 A partition is stored as a canonically sorted tuple of (root, multiplicity)
 pairs.  Both engines take the allowed roots in canonical order and bound each
 multiplicity by the coordinates the remaining roots can no longer raise, so
-multisets are produced exactly once.  Enumeration is liveness-guided: a
-per-call memo keeps, for each (root index, residual) node, its live entries,
+multisets are produced exactly once.  Enumeration is liveness-guided and
+built root by root, as the juggling listing is built time by time: forward,
+the residuals that reach each root; backward, each residual's live entries,
 one per positive part that can still reach zero, with the entries of the
-part's own remainder below it; skipped roots are spliced out and walked in
-a loop (a root group that the residual cannot pay for is stepped past at
-once), so only a chosen part costs a frame, and partitions come out
-canonically with no sort.  The memo is freed by reference counting when the
-call returns: the walk's self-calling closures are deleted, so no cycle
-holds it.  Counting runs forward over a layer of {residual weight: ways},
-one (kind, i) group of roots at a time, so equal residuals merge; there each
-residual is packed into one int of fixed-width biased fields, so a copy of a
-root is one subtraction and each prune one mask test.  For e_i - e_j roots
-alone the fields hold prefix sums, so a residual with a negative one is
-dropped as dead, and a group's last root sends every copy left in one move.
-The capacity-restricted count is the same sweep with a cap on each
-coordinate, checked when the sweep reaches it.
+part's own remainder below it; an explicit stack then emits them, so no root
+costs a frame, no branch that dies is entered, and partitions come out
+canonically with no sort.  With e_i - e_j roots alone, a residual with a
+negative prefix sum is dropped as dead, as the count drops it.  Counting runs
+forward over a layer of {residual weight: ways}, one (kind, i) group of
+roots at a time, so equal residuals merge; there each residual is packed
+into one int of fixed-width biased fields, so a copy of a root is one
+subtraction and each prune one mask test.  For e_i - e_j roots alone the
+fields hold prefix sums, so a residual with a negative one is dropped as
+dead, and a group's last root sends every copy left in one move.  The
+capacity-restricted count is the same sweep with a cap on each coordinate,
+checked when the sweep reaches it.
 
 What depends only on the roots is built once per process, in two bounded
-tables of plain tuples: a root set's record (its canonical order, whether it
-is pure e_i - e_j, where its other kinds start and where each group ends),
-keyed by the roots as given, and the sweep plan (each group's field shift,
-prune mask, level divisor and packed root deltas), keyed by the canonical
-roots, the field width and the target length.  Only a root set the process
-has seen before gains; every check on the input still runs on every call.
+tables of plain tuples: a root set's record (its canonical order and whether
+it is pure e_i - e_j), keyed by the roots as given, and the sweep plan (each
+group's field shift, prune mask, level divisor and packed root deltas),
+keyed by the canonical roots, the field width and the target length.  Only a
+root set the process has seen before gains; every check on the input still
+runs on every call.
 """
 
 from __future__ import annotations
@@ -51,20 +51,12 @@ PLAN_CACHE = 1024
 @lru_cache(maxsize=ROOT_SET_CACHE)
 def _root_set(roots: tuple) -> tuple:
     """The record of a root collection, given as a tuple: (canonical roots,
-    pure, first_mixed, group_end).  pure says every root is e_i - e_j;
-    first_mixed is the index of the first root of another kind (the length
-    when pure); group_end[k] is the index past root k's (kind, i) group."""
+    pure), pure saying every root is e_i - e_j."""
     unique = {root.key: root for root in roots}
     canon = tuple([unique[key] for key in sorted(unique)])
     if canon == roots:  # already canonical: keep one tuple, not two
         canon = roots
-    n = len(canon)
-    first_mixed = next((k for k, r in enumerate(canon) if r.kind != MINUS), n)
-    group_end = [n] * n
-    for k in range(n - 2, -1, -1):
-        same = canon[k].kind == canon[k + 1].kind and canon[k].i == canon[k + 1].i
-        group_end[k] = group_end[k + 1] if same else k + 1
-    return canon, first_mixed == n, first_mixed, tuple(group_end)
+    return canon, all(root.kind == MINUS for root in canon)
 
 
 def canonical_roots(roots) -> tuple[Root, ...]:
@@ -286,61 +278,74 @@ def count_partitions(target, allowed) -> int:
 
 
 def enumerate_partitions(target, allowed) -> list[Partition]:
-    """All partitions of the target into allowed roots, canonically ordered;
-    each memo node is expanded once, and the walk follows live entries only."""
+    """All partitions of the target into allowed roots, canonically ordered.
+
+    Built root by root: forward, the residuals that reach each root, each
+    with its positive parts (dead residuals are dropped); then backward from
+    past the last root, each residual's live entries, one ((root, mult),
+    below) per part whose remainder is zero (below None) or live (below its
+    live entries at the next root), followed by the next root's entries for
+    the residual itself.  An explicit stack emits the entries in order, so
+    partitions come out canonically with no sort and no root costs a frame.
+    """
     target = tuple(target)
-    roots, _, first_mixed, group_end = _root_set(tuple(allowed))
+    roots, pure = _root_set(tuple(allowed))
     _check_ambient(len(target), roots)
     if not any(target):
         return [()]
-    n = len(roots)
-    memo: dict = {}
+    layers = []  # per root: [(residual, [remainder after mult 1, 2, ..., None if zero]), ...]
+    reach = (target,)
+    for root in roots:
+        layer = []
+        nxt = {}
+        for w in reach:
+            # Dead, as no later root can bring it to zero: every positive
+            # root has nonnegative prefix sums, and in a pure set none from
+            # group i on changes those below i.
+            if ((min(accumulate(w)) < 0 or any(w[:root.i - 1])) if pure else
+                    min(w) < 0 if root.kind != MINUS else w[root.i - 1] < 0):
+                continue
+            nxt[w] = None
+            if w[root.i - 1] <= 0:
+                continue  # not one copy fits
+            children = []
+            for mult in range(1, _max_mult(root, w) + 1):
+                child = _subtract(w, root, mult)
+                if any(child):
+                    children.append(child)
+                    nxt[child] = None
+                else:
+                    children.append(None)
+            if children:
+                layer.append((w, children))
+        layers.append(layer)
+        reach = nxt
+    # live[w]: the live entries of w from the root last read back on.  A root
+    # changes only the residuals with live parts of their own there: any other
+    # keeps its entries from the next root, which are none if it is dead.
+    live: dict = {}
+    for root in reversed(roots):
+        own = {}
+        for w, children in layers.pop():
+            entries = [((root, mult), None if child is None else live[child])
+                       for mult, child in enumerate(children, 1)
+                       if child is None or live.get(child)]
+            if entries:
+                own[w] = entries + live.get(w, [])
+        live.update(own)
     found: list[Partition] = []
-
-    def live(idx, w) -> list:
-        """The live entries of the nonzero residual w from root idx on: one
-        ((root, mult), below) per positive part that can still lead to zero,
-        below being the live entries of what remains after it (from the next
-        root on), or None when nothing remains; empty if w is dead.  A root's
-        own parts come first, mult ascending, then those of the roots after
-        it, walked in a loop and each memoized: canonical order."""
-        out = memo.get((idx, w))
-        if out is not None:
-            return out
-        chain = []  # (idx, own entries) of each node walked
-        while out is None:
-            root = roots[idx] if idx < n else None
-            if root is None or (min(w) < 0 if idx >= first_mixed else
-                                w[root.i - 1] < 0 or (first_mixed == n and any(w[:root.i - 1]))):
-                out = memo[idx, w] = []  # past the last root, or dead
-                break
-            if w[root.i - 1] < (2 if root.kind == DOUBLE else 1):
-                chain.append((idx, None))
-                idx = group_end[idx]  # no root of the group can pay
-            else:
-                own = []
-                for mult in range(1, _max_mult(root, w) + 1):
-                    child = _subtract(w, root, mult)
-                    if not any(child):
-                        own.append(((root, mult), None))
-                    elif below := live(idx + 1, child):
-                        own.append(((root, mult), below))
-                chain.append((idx, own))
-                idx += 1
-            out = memo.get((idx, w))
-        for idx, own in reversed(chain):
-            out = memo[idx, w] = own + out if own else out
-        return out
-
-    def rec(entries, chosen):
+    # stack[k] iterates the choices of part k + 1, with the k parts chosen before it.
+    stack = [(iter(live.get(target, [])), ())]
+    while stack:
+        entries, chosen = stack[-1]
         for part, below in entries:
             if below is None:
                 found.append(chosen + (part,))
             else:
-                rec(below, chosen + (part,))
-
-    rec(live(0, target), ())
-    del live, rec  # each refers to itself: free the memo now, not at a collection
+                stack.append((iter(below), chosen + (part,)))
+                break
+        else:
+            stack.pop()
     return found
 
 
@@ -350,7 +355,7 @@ def count_capacity_restricted(target, allowed, initial, capacity: int) -> int:
     with negative entry at j stays at most the capacity.
     """
     target = tuple(target)
-    roots, pure = _root_set(tuple(allowed))[:2]
+    roots, pure = _root_set(tuple(allowed))
     ambient = len(target)
     _check_ambient(ambient, roots)
     if not pure:

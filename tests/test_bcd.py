@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from kjuggle.bcd import (BcdState, _leaves, b_to_a_inverse, b_to_a_map,
+from kjuggle.bcd import (BcdSequence, BcdState, _leaves, b_to_a_inverse, b_to_a_map,
                          bcd_sequence_partition, bcd_successors, c_to_a_inverse,
                          c_to_a_map, count_highest_root_bcd,
                          enumerate_bcd_sequences, schmidt_bincer_count,
@@ -73,6 +73,54 @@ def test_two_conveyor_enumeration_realizes_every_partition():
         assert sorted(parts) == sorted(enumerate_partitions(mu, positive_roots(lie_type, rank)))
         for part in parts:
             assert partition_weight(part, rank) == mu
+
+
+def _reference_bcd_sequences(lie_type, initial, n):
+    """The recursive walk the explicit stack replaced: one frame per time,
+    each successor in turn, each sequence's events sorted."""
+    def dead(state, time):
+        return any(x > 0 and time + k + 1 > n
+                   for conveyor in (state.standard, state.reflected)
+                   for k, x in enumerate(conveyor))
+
+    if dead(initial, 0):
+        return []
+    found = []
+    states = [initial]
+    events = []
+
+    def rec(time):
+        if time > n:
+            if states[-1].empty:
+                found.append(BcdSequence(tuple(states), tuple(sorted(events))))
+            return
+        for new, evs in bcd_successors(lie_type, states[-1], time, n):
+            if dead(new, time):
+                continue
+            states.append(new)
+            events.extend((time, kind, h) for kind, h in evs)
+            rec(time + 1)
+            del events[len(events) - len(evs):]
+            states.pop()
+
+    rec(1)
+    return found
+
+
+def test_two_conveyor_listing_matches_the_recursive_walk_in_order():
+    rng = random.Random(2020)
+    listed = nonempty = 0
+    for _ in range(300):
+        lie_type = rng.choice("BCD")
+        standard = tuple(rng.randint(-1, 2) for _ in range(rng.randint(0, 3)))
+        reflected = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 2)))
+        initial = BcdState(standard, reflected)
+        n = rng.randint(0, 4)
+        got = enumerate_bcd_sequences(lie_type, initial, n)
+        assert got == _reference_bcd_sequences(lie_type, initial, n), (lie_type, initial, n)
+        listed += len(got)
+        nonempty += bool(got)
+    assert nonempty > 40 and listed > 1000
 
 
 def test_schmidt_bincer_matches_oracle_on_structured_weights():
@@ -164,10 +212,15 @@ def test_literal_reduction_on_zero_sum_weights(lie_type):
             assert schmidt_bincer_literal(lie_type, rank, mu) == value, (lie_type, mu)
 
 
+def test_literal_reduction_at_rank_eight():
+    # 1,333,363 e_i - e_j configurations of this weight fold into 9,216 residuals
+    assert schmidt_bincer_literal("B", 8, (2, 1, 0, 0, 0, 0, -1, -2)) == 17731854
+
+
 def _reference_leaves(lie_type, rank, mu, literal):
-    """The per-root walk the configuration tree replaced: for each walked
-    root in turn, every multiplicity that keeps the residual's prefix sums
-    nonnegative.  A zero-sum residual is a leaf once every root is decided,
+    """A recursive walk over every configuration, sharing no code with the
+    layer walk: for each walked root in turn, every multiplicity that keeps
+    the residual's prefix sums nonnegative.  A zero-sum residual is a leaf once every root is decided,
     or at once when every walked root has a positive sum."""
     weights = [root_to_weight(r, rank) for r in positive_roots(lie_type, rank)
                if (r.kind == MINUS) == literal]
@@ -235,8 +288,8 @@ def test_literal_walk_leaves_on_zero_sum_weights(lie_type):
 
 
 def test_long_single_root_chains_stay_shallow():
-    # a thousand copies of one root: the walk takes further copies of a root
-    # in a loop, so its recursion is bounded by the number of walked roots
+    # a thousand copies of one root: the walk sends every copy of a root in
+    # one loop per residual, so no copy costs a frame
     for lie_type, rank, mu, literal in (("B", 2, (0, 1000), 0), ("B", 2, (1000, -1000), 1001),
                                         ("C", 3, (0, 0, 2000), 0), ("D", 4, (0, 0, 1000, 1000), 0)):
         oracle = count_partitions(mu, positive_roots(lie_type, rank))

@@ -221,6 +221,10 @@ PINNED = [
     ("bcd count --type B --rank 3 --weight-eps 1,1,0",
      "juggling: 11\nliteral_schmidt_bincer: 0\noracle: 11\nschmidt_bincer: 11\n"
      "# methods agree: True\n"),
+    # a zero-sum weight, on which the literal reading walks the e_i - e_j roots
+    ("bcd count --type B --rank 9 --weight-eps 2,1,0,0,0,0,0,-1,-2",
+     "literal_schmidt_bincer: 285784650\noracle: 103264\nschmidt_bincer: 103264\n"
+     "# methods agree: True\n"),
 ]
 
 

@@ -129,6 +129,29 @@ class TestPermDet:
             assert permanent(m) == count_partitions(target, lam)
 
 
+def _reference_compositions(total, pattern):
+    """The recursive walk the prefix-sum reading replaced: each part in
+    turn, from the least the pattern allows to what is left."""
+    pattern = tuple(pattern)
+    if not pattern:
+        if total == 0:
+            yield ()
+        return
+    need = [sum(pattern[:k + 1]) for k in range(len(pattern))]
+    out = [0] * len(pattern)
+
+    def rec(pos, used):
+        if pos == len(pattern):
+            if used == total:
+                yield tuple(out)
+            return
+        for value in range(max(0, need[pos] - used), total - used + 1):
+            out[pos] = value
+            yield from rec(pos + 1, used + value)
+
+    yield from rec(0, 0)
+
+
 class TestLidskii:
     def test_reference_values(self):
         assert lidskii_count((1, 0, 0, -1)) == 4
@@ -181,6 +204,19 @@ class TestLidskii:
         assert sorted(dominating_compositions(6, (3, 2, 1))) == [
             (3, 2, 1), (3, 3, 0), (4, 1, 1), (4, 2, 0),
             (5, 0, 1), (5, 1, 0), (6, 0, 0)]
+
+    def test_dominating_compositions_match_the_recursive_walk_in_order(self):
+        rng = random.Random(128)
+        patterns = [(), (0,), (2,), (-1,), (3, 2, 1)]
+        patterns += [tuple(rng.randint(-2, 3) for _ in range(rng.randint(1, 5)))
+                     for _ in range(60)]
+        listed = 0
+        for pattern in patterns:
+            for total in range(-3, 10):
+                got = list(dominating_compositions(total, pattern))
+                assert got == list(_reference_compositions(total, pattern)), (total, pattern)
+                listed += len(got)
+        assert listed > 10000
 
 
 class TestGeneratingFunctions:

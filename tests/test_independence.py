@@ -5,7 +5,9 @@ juggling count and listings read an instance through one check,
 `_instance`, which reaches no count.  The B/C/D reduction is checked
 against the direct count, so it reaches no count_partitions call and
 counts its leaves in one place only; a closed form's value is checked
-against a partition count, so it reaches none."""
+against a partition count, so it reaches none.  Every walk is a loop: no
+function calls itself, so none needs its closure deleted by hand and no
+walk's depth is bounded by the interpreter's recursion limit."""
 
 import ast
 from pathlib import Path
@@ -73,6 +75,15 @@ def _functions_naming(tree, name: str) -> set:
                     for inner in ast.walk(node))}
 
 
+def _self_calling(tree) -> list:
+    """The functions, top-level or nested, that call their own name as a
+    plain-name call (an attribute call such as object.__new__ is not one)."""
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+                          and inner.func.id == node.name for inner in ast.walk(node)))
+
+
 def _tree(module: str):
     return ast.parse((PACKAGE / f"{module}.py").read_text())
 
@@ -114,6 +125,11 @@ def test_closed_form_values_reach_no_partition_count():
     assert _calls_reached(tree, "closed_form_value", PARTITION_COUNTS) == []
     assert _calls_reached(tree, "closed_form_check", PARTITION_COUNTS) == [
         ("closed_form_check", "count_capacity_restricted")]
+
+
+def test_no_function_calls_itself():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _self_calling(ast.parse(path.read_text())) == [], path.name
 
 
 def test_the_guards_see_a_planted_breach():
@@ -177,3 +193,14 @@ def test_the_guards_see_a_planted_breach():
         "def enumerate_labeled_sequences(a, b, n):\n"
         "    return _instance(a, b, n, None)\n")
     assert _instance_readers(planted) == list(JUGGLING_ENTRIES)
+    planted = ast.parse(
+        "class Root:\n"
+        "    def __new__(cls):\n"
+        "        return object.__new__(cls)\n"
+        "def walk(entries):\n"
+        "    def rec(node):\n"
+        "        return [rec(child) for child in node]\n"
+        "    return rec(entries)\n"
+        "async def descend(n):\n"
+        "    return n and await descend(n - 1)\n")
+    assert _self_calling(planted) == ["descend", "rec"]

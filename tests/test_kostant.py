@@ -148,6 +148,14 @@ def test_skipped_roots_and_groups_take_no_frame(roots, weight):
     assert enumerate_partitions(mu, roots) == [((root, 1),)]
 
 
+def test_a_partition_of_many_parts_takes_no_frame_per_part():
+    # e_1 - e_1501 over the 1,500 simple roots: one partition, of 1,500 parts
+    roots = [eminus(i, i + 1) for i in range(1, 1501)]
+    mu = (1,) + (0,) * 1499 + (-1,)
+    assert count_partitions(mu, roots) == 1
+    assert enumerate_partitions(mu, roots) == [tuple((root, 1) for root in roots)]
+
+
 def test_count_weighted_is_linear():
     assert count_weighted({}, A3) == 0
     assert count_weighted({(0, 0, 0, 0): 7}, A3) == 7

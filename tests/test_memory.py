@@ -1,11 +1,12 @@
 """Every engine call frees its working state when it returns.
 
-A nested function that calls itself refers to its own closure cell, so
-unless the cycle is broken, its memo, scaffolding and intermediate lists
-outlive the call as cyclic garbage that only the cycle collector frees.
-Each entry point here is warmed once (so per-process caches are filled),
-then called with automatic collection off; a collection afterwards must
-find nothing unreachable.
+A nested function that calls itself would refer to its own closure cell,
+keeping its memo, scaffolding and intermediate lists alive as cyclic garbage
+that only the cycle collector frees; `tests/test_independence.py` forbids
+such functions, and this test catches any other cycle.  Each entry point
+here is warmed once (so per-process caches are filled), then called with
+automatic collection off; a collection afterwards must find nothing
+unreachable.
 """
 
 import gc
