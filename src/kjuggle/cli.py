@@ -132,10 +132,12 @@ def _poly_str(coeffs, var: str = "q") -> str:
 
 
 def _resolve_weight(args, lie_type: str, rank: int):
-    if getattr(args, "weight_alpha", None):
+    if args.weight_alpha is not None and args.weight_eps is not None:
+        raise DomainError("pass --weight-alpha or --weight-eps, not both")
+    if args.weight_alpha:
         coeffs = _parse_ints(args.weight_alpha, "simple-root coefficients")
         return weight_from_simple(lie_type, rank, coeffs)
-    if getattr(args, "weight_eps", None):
+    if args.weight_eps:
         weight = _parse_ints(args.weight_eps, "weight")
         if len(weight) != ambient_dim(lie_type, rank):
             raise DomainError(
@@ -283,6 +285,8 @@ def _cmd_bcd(args) -> int:
     if args.action == "count":
         if args.type is None or args.type == "A":
             raise DomainError("bcd count covers types B, C, D (--type required)")
+        if args.highest_root and (args.weight_alpha is not None or args.weight_eps is not None):
+            raise DomainError("pass --highest-root or a weight, not both")
         if args.highest_root:
             weight = highest_root(args.type, args.rank)
         else:

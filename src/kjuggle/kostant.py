@@ -3,22 +3,21 @@
 A partition is stored as a canonically sorted tuple of (root, multiplicity)
 pairs.  Both engines take the allowed roots in canonical order and bound each
 multiplicity by the coordinates the remaining roots can no longer raise, so
-multisets are produced exactly once.  Enumeration is liveness-guided and
-built root by root, as the juggling listing is built time by time: forward,
-the residuals that reach each root; backward, each residual's live entries,
-one per positive part that can still reach zero, with the entries of the
-part's own remainder below it; an explicit stack then emits them, so no root
-costs a frame, no branch that dies is entered, and partitions come out
-canonically with no sort.  With e_i - e_j roots alone, a residual with a
-negative prefix sum is dropped as dead, as the count drops it.  Counting runs
-forward over a layer of {residual weight: ways}, one (kind, i) group of
-roots at a time, so equal residuals merge; there each residual is packed
-into one int of fixed-width biased fields, so a copy of a root is one
-subtraction and each prune one mask test.  For e_i - e_j roots alone the
-fields hold prefix sums, so a residual with a negative one is dropped as
-dead, and a group's last root sends every copy left in one move.  The
-capacity-restricted count is the same sweep with a cap on each coordinate,
-checked when the sweep reaches it.
+multisets are produced exactly once.  Both walk residuals packed into one int
+of fixed-width biased fields, following one sweep plan per root set: a copy
+of a root is one subtraction, a dead residual fails one mask test, and the
+copies a root may still take are read off one field.  For e_i - e_j roots
+alone the fields hold prefix sums, so a residual with a negative one is dead.
+Counting runs forward over a layer of {residual: ways}, one (kind, i) group
+of roots at a time, so equal residuals merge, and a pure group's last root
+sends every copy left in one move.  The capacity-restricted count is the
+same sweep with a cap on each coordinate, checked when the sweep reaches it.
+Enumeration is liveness-guided and built root by root, as the juggling
+listing is built time by time: forward, the residuals that reach each root;
+backward, each residual's live entries, one per positive part that can still
+reach zero, with the entries of the part's own remainder below it; an
+explicit stack then emits them, so no root costs a frame, no branch that
+dies is entered, and partitions come out canonically with no sort.
 
 What depends only on the roots is built once per process, in two bounded
 tables of plain tuples: a root set's record (its canonical order and whether
@@ -93,27 +92,6 @@ def make_partition(parts) -> Partition:
     return tuple(sorted(counts.items(), key=lambda it: it[0].key))
 
 
-def _max_mult(root: Root, w) -> int:
-    """Largest multiplicity of `root` that can still lead to a zero residual.
-
-    Later canonical roots never raise the coordinates consumed here, so the
-    bound is exact: a negative bound means the branch is dead.  (A loop, not
-    a comprehension, whose frame would double the cost of this hot call.)
-    """
-    top = None
-    for k, x in root.terms:
-        if x > 0 and (top is None or w[k - 1] // x < top):
-            top = w[k - 1] // x
-    return top
-
-
-def _subtract(w, root: Root, mult: int):
-    out = list(w)
-    for k, x in root.terms:
-        out[k - 1] -= mult * x
-    return tuple(out)
-
-
 def _check_ambient(ambient: int, roots) -> None:
     for root in roots:
         if root.terms[-1][0] > ambient:
@@ -125,12 +103,12 @@ def _plan(roots: tuple, bits: int, length: int) -> tuple:
     """The sweep plan of canonical roots on residuals of `length` bits-wide
     fields: (bias, groups), one group per (kind, i) group of roots, each
     (shift, keep, want, need, deltas, guards, last).  Coordinate i's field
-    starts at bit shift; a residual is pruned at group entry when
-    w & keep != want; need is the level divisor; deltas holds one copy of
-    each root, packed; guards, in an e_i + e_j group only (else None), holds
-    the bit shift of each root's second coordinate; last is the delta a pure
-    group sends all its remaining copies with (None in a mixed set, where it
-    stays in deltas)."""
+    starts at bit shift; a residual is dead in the group when
+    w & keep != want, and a root there takes at most the field's value //
+    need copies (the level); deltas holds one copy of each root, packed;
+    guards, in an e_i + e_j group only (else None), holds the bit shift of
+    each root's second coordinate, sent only while positive; last is a pure
+    group's last root (None in a mixed set, where it stays in deltas)."""
     half = 1 << bits - 1
     mask = (half << 1) - 1
     bias = sum(half << bits * k for k in range(length))
@@ -161,6 +139,17 @@ def _plan(roots: tuple, bits: int, length: int) -> tuple:
     return bias, tuple(groups)
 
 
+def _pack(target, pure: bool, bits: int, bias: int):
+    """A target as one residual of bits-wide fields biased by bias: its
+    prefix sums if pure, else its coordinates; None for a pure target with a
+    nonzero total, which has no partition."""
+    if pure:
+        target = tuple(accumulate(target))
+        if target and target[-1]:
+            return None
+    return bias + sum(map(lshift, target, range(0, bits * len(target), bits)))
+
+
 def _sweep(targets, roots, ceiling=None) -> int:
     """The layer DP of count_weighted over a {weight: ways} mapping and
     canonical roots that fit every target, on packed residuals, following
@@ -176,12 +165,9 @@ def _sweep(targets, roots, ceiling=None) -> int:
     pure = not roots or roots[-1].kind == MINUS
     layer: dict = {}
     for target, ways in targets.items():
-        if pure:
-            target = tuple(accumulate(target))
-            if target and target[-1]:  # a nonzero total has no partition
-                continue
-        w = bias + sum(map(lshift, target, range(0, bits * len(target), bits)))
-        layer[w] = layer.get(w, 0) + ways
+        w = _pack(target, pure, bits, bias)
+        if w is not None:
+            layer[w] = layer.get(w, 0) + ways
     for shift, keep, want, need, deltas, guards, last in groups:
         if not layer:
             return 0
@@ -280,8 +266,9 @@ def count_partitions(target, allowed) -> int:
 def enumerate_partitions(target, allowed) -> list[Partition]:
     """All partitions of the target into allowed roots, canonically ordered.
 
-    Built root by root: forward, the residuals that reach each root, each
-    with its positive parts (dead residuals are dropped); then backward from
+    Built root by root on the count's packed residuals and sweep plan:
+    forward, the residuals that reach each root, each with its positive
+    parts (the plan's dead residuals are dropped); then backward from
     past the last root, each residual's live entries, one ((root, mult),
     below) per part whose remainder is zero (below None) or live (below its
     live entries at the next root), followed by the next root's entries for
@@ -293,33 +280,41 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
     _check_ambient(len(target), roots)
     if not any(target):
         return [()]
+    bits = sum(map(abs, target)).bit_length() + 1
+    half = 1 << bits - 1
+    mask = (half << 1) - 1
+    bias, groups = _plan(roots, bits, len(target))
+    start = _pack(target, pure, bits, bias)
+    if start is None:
+        return []
     layers = []  # per root: [(residual, [remainder after mult 1, 2, ..., None if zero]), ...]
-    reach = (target,)
-    for root in roots:
-        layer = []
-        nxt = {}
-        for w in reach:
-            # Dead, as no later root can bring it to zero: every positive
-            # root has nonnegative prefix sums, and in a pure set none from
-            # group i on changes those below i.
-            if ((min(accumulate(w)) < 0 or any(w[:root.i - 1])) if pure else
-                    min(w) < 0 if root.kind != MINUS else w[root.i - 1] < 0):
-                continue
-            nxt[w] = None
-            if w[root.i - 1] <= 0:
-                continue  # not one copy fits
-            children = []
-            for mult in range(1, _max_mult(root, w) + 1):
-                child = _subtract(w, root, mult)
-                if any(child):
-                    children.append(child)
-                    nxt[child] = None
-                else:
-                    children.append(None)
-            if children:
-                layer.append((w, children))
-        layers.append(layer)
-        reach = nxt
+    reach = (start,)
+    for shift, keep, want, need, deltas, guards, last in groups:
+        if last is not None:
+            deltas += (last,)
+        for delta, guard in zip(deltas, guards or repeat(0)):
+            sel, lo = (mask << guard, (half + 1) << guard) if guard else (0, 0)
+            layer = []
+            nxt = {}
+            for w in reach:
+                if w & keep != want:  # dead: no later root brings it to zero
+                    continue
+                nxt[w] = None
+                children = []
+                r = w
+                for _ in range((((w >> shift) & mask) - half) // need):
+                    if r & sel < lo:  # an e_i + e_j copy needs w[j] > 0
+                        break
+                    r -= delta
+                    if r == bias:
+                        children.append(None)
+                    else:
+                        children.append(r)
+                        nxt[r] = None
+                if children:
+                    layer.append((w, children))
+            layers.append(layer)
+            reach = nxt
     # live[w]: the live entries of w from the root last read back on.  A root
     # changes only the residuals with live parts of their own there: any other
     # keeps its entries from the next root, which are none if it is dead.
@@ -335,7 +330,7 @@ def enumerate_partitions(target, allowed) -> list[Partition]:
         live.update(own)
     found: list[Partition] = []
     # stack[k] iterates the choices of part k + 1, with the k parts chosen before it.
-    stack = [(iter(live.get(target, [])), ())]
+    stack = [(iter(live.get(start, [])), ())]
     while stack:
         entries, chosen = stack[-1]
         for part, below in entries:

@@ -189,19 +189,11 @@ def simple_root(lie_type: str, rank: int, i: int) -> tuple[int, ...]:
     check_type_rank(lie_type, rank)
     if not 1 <= i <= rank:
         raise DomainError(f"simple root index {i} out of range 1..{rank}")
-    n = ambient_dim(lie_type, rank)
-    w = [0] * n
     if lie_type == "A" or i < rank:
-        w[i - 1] = 1
-        w[i] = -1
-    elif lie_type == "B":
-        w[rank - 1] = 1
-    elif lie_type == "C":
-        w[rank - 1] = 2
-    else:  # D
-        w[rank - 2] = 1
-        w[rank - 1] = 1
-    return tuple(w)
+        root = eminus(i, i + 1)
+    else:  # the last simple root of B, C or D
+        root = {"B": esingle(rank), "C": edouble(rank), "D": eplus(rank - 1, rank)}[lie_type]
+    return root_to_weight(root, ambient_dim(lie_type, rank))
 
 
 def weight_from_simple(lie_type: str, rank: int, coeffs) -> tuple[int, ...]:
@@ -253,13 +245,6 @@ def simple_root_coefficients(lie_type: str, rank: int, weight) -> tuple[int, ...
 
 def highest_root(lie_type: str, rank: int) -> tuple[int, ...]:
     """The highest root: e1-e_{r+1} (A), e1+e2 (B, D), 2e1 (C)."""
-    check_type_rank(lie_type, rank)
     n = ambient_dim(lie_type, rank)
-    w = [0] * n
-    if lie_type == "A":
-        w[0], w[n - 1] = 1, -1
-    elif lie_type == "C":
-        w[0] = 2
-    else:
-        w[0], w[1] = 1, 1
-    return tuple(w)
+    root = eminus(1, n) if lie_type == "A" else edouble(1) if lie_type == "C" else eplus(1, 2)
+    return root_to_weight(root, n)

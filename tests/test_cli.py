@@ -268,6 +268,24 @@ def test_bcd_count_accepts_simple_root_weights(capsys):
     assert code == 0 and out.strip() == "oracle: 3"
 
 
+BOTH_WEIGHTS = "pass --weight-alpha or --weight-eps, not both"
+HIGHEST_AND_WEIGHT = "pass --highest-root or a weight, not both"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kostant", "--type", "A", "--rank", "2", "--weight-alpha", "1,1", "--weight-eps", "5,0,-5"],
+     BOTH_WEIGHTS),
+    (["bcd", "count", "--type", "B", "--rank", "2", "--weight-alpha", "1,1",
+      "--weight-eps", "1,1"], BOTH_WEIGHTS),
+    (["bcd", "count", "--type", "B", "--rank", "2", "--highest-root", "--weight-eps", "9,9"],
+     HIGHEST_AND_WEIGHT),
+    (["bcd", "count", "--type", "C", "--rank", "3", "--highest-root", "--weight-alpha", "1,1,1"],
+     HIGHEST_AND_WEIGHT),
+])
+def test_a_second_weight_is_refused_not_ignored(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_bcd_juggling_method_needs_highest_root(capsys):
     code, _, err = run(capsys, "bcd", "count", "--type", "B", "--rank", "2",
                        "--weight-eps", "0,1", "--method", "juggling")

@@ -2,7 +2,9 @@
 so neither may borrow from the other: kostant.py and juggling.py import
 nothing from each other, and no listing function calls a count.  The
 juggling count and listings read an instance through one check,
-`_instance`, which reaches no count.  The B/C/D reduction is checked
+`_instance`, which reaches no count.  The partition count and listing
+read the dead-residual rule and the copy bound from one sweep plan,
+`_plan`, and pack a target in one place, `_pack`.  The B/C/D reduction is checked
 against the direct count, so it reaches no count_partitions call and
 counts its leaves in one place only; a closed form's value is checked
 against a partition count, so it reaches none.  Every walk is a loop: no
@@ -18,6 +20,7 @@ PACKAGE = Path(kjuggle.__file__).parent
 ENGINES = ("kostant", "juggling")
 PARTITION_COUNTS = {"count_partitions", "count_capacity_restricted"}
 JUGGLING_ENTRIES = ("count_sequences", "enumerate_sequences", "enumerate_labeled_sequences")
+PARTITION_WALKS = ("count_weighted", "count_capacity_restricted", "enumerate_partitions")
 
 
 def _imported_modules(tree) -> set:
@@ -111,6 +114,16 @@ def test_juggling_entries_share_one_instance_check():
     assert _instance_readers(_tree("juggling")) == []
 
 
+def _unplanned_walks(tree) -> list:
+    """Of the partition walks, those whose calls miss `_plan` or `_pack`."""
+    return [name for name in PARTITION_WALKS
+            if not {"_plan", "_pack"} <= _reached_functions(tree, name)]
+
+
+def test_partition_walks_share_one_sweep_plan():
+    assert _unplanned_walks(_tree("kostant")) == []
+
+
 def test_the_reduction_reaches_no_direct_count():
     tree = _tree("bcd")
     reached = _reached_functions(tree, "schmidt_bincer_count")
@@ -193,6 +206,20 @@ def test_the_guards_see_a_planted_breach():
         "def enumerate_labeled_sequences(a, b, n):\n"
         "    return _instance(a, b, n, None)\n")
     assert _instance_readers(planted) == list(JUGGLING_ENTRIES)
+    planted = ast.parse(
+        "def _plan(roots, bits, length):\n"
+        "    return bits, ()\n"
+        "def _pack(target, pure, bits, bias):\n"
+        "    return bias\n"
+        "def _sweep(targets, roots):\n"
+        "    return [_pack(t, True, 2, _plan(roots, 2, 1)[0]) for t in targets]\n"
+        "def count_weighted(targets, allowed):\n"
+        "    return _sweep(targets, allowed)\n"
+        "def count_capacity_restricted(target, allowed, initial, capacity):\n"
+        "    return _plan(allowed, 2, 1)\n"
+        "def enumerate_partitions(target, allowed):\n"
+        "    return [w for w in target if min(w) >= 0]\n")
+    assert _unplanned_walks(planted) == ["count_capacity_restricted", "enumerate_partitions"]
     planted = ast.parse(
         "class Root:\n"
         "    def __new__(cls):\n"

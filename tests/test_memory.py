@@ -59,7 +59,7 @@ CACHED = {
     "count_partitions": (CALLS["count_partitions"], ("_root_set", "_plan")),
     "count_weighted": (CALLS["count_weighted"], ("_root_set", "_plan")),
     "count_capacity_restricted": (CALLS["count_capacity_restricted"], ("_root_set", "_plan")),
-    "enumerate_partitions": (CALLS["enumerate_partitions"], ("_root_set",)),
+    "enumerate_partitions": (CALLS["enumerate_partitions"], ("_root_set", "_plan")),
 }
 
 

@@ -9,7 +9,7 @@ from kjuggle.errors import DomainError
 from kjuggle.roots import (DOUBLE, MIN_RANK, MINUS, PLUS, SINGLE, Root,
                            ambient_dim, edouble, eminus, eplus, esingle,
                            highest_root, parse_root, positive_roots,
-                           root_to_weight, simple_root_coefficients,
+                           root_to_weight, simple_root, simple_root_coefficients,
                            weight_from_simple)
 
 
@@ -80,6 +80,57 @@ def test_highest_roots():
     assert highest_root("C", 3) == (2, 0, 0)
     assert highest_root("D", 4) == (1, 1, 0, 0)
     assert highest_root("B", 2) == (1, 1)
+
+
+def _old_highest_root(lie_type, n):
+    """The per-type ladder highest_root was written as before it read a Root."""
+    w = [0] * n
+    if lie_type == "A":
+        w[0], w[n - 1] = 1, -1
+    elif lie_type == "C":
+        w[0] = 2
+    else:
+        w[0], w[1] = 1, 1
+    return tuple(w)
+
+
+def _old_simple_root(lie_type, rank, i, n):
+    """The per-type ladder simple_root was written as before it read a Root."""
+    w = [0] * n
+    if lie_type == "A" or i < rank:
+        w[i - 1] = 1
+        w[i] = -1
+    elif lie_type == "B":
+        w[rank - 1] = 1
+    elif lie_type == "C":
+        w[rank - 1] = 2
+    else:  # D
+        w[rank - 2] = 1
+        w[rank - 1] = 1
+    return tuple(w)
+
+
+def test_highest_and_simple_roots_match_the_per_type_ladders():
+    checked = 0
+    for lie_type in "ABCD":
+        for rank in range(MIN_RANK[lie_type], 31):
+            n = ambient_dim(lie_type, rank)
+            assert highest_root(lie_type, rank) == _old_highest_root(lie_type, n)
+            for i in range(1, rank + 1):
+                assert simple_root(lie_type, rank, i) == _old_simple_root(lie_type, rank, i, n)
+                checked += 1
+            for i in (0, rank + 1):
+                with pytest.raises(DomainError, match=f"simple root index {i} out of range"):
+                    simple_root(lie_type, rank, i)
+        for bad in (MIN_RANK[lie_type] - 1, -1):
+            for call in (lambda: highest_root(lie_type, bad),
+                         lambda: simple_root(lie_type, bad, 1)):
+                with pytest.raises(DomainError, match=f"requires rank >= {MIN_RANK[lie_type]}"):
+                    call()
+    assert checked == 465 + 464 + 462 + 459  # ranks up to 30: r(r+1)/2 summed, less the low ranks
+    for call in (lambda: highest_root("E", 6), lambda: simple_root("E", 6, 1)):
+        with pytest.raises(DomainError, match="unknown Lie type"):
+            call()
 
 
 @pytest.mark.parametrize("lie_type,rank,coeffs", [
