@@ -2,7 +2,9 @@
 
 One subcommand per subsystem plus a selftest that runs the acceptance
 criteria.  Every command takes --json; counts are serialized as decimal
-strings so arbitrary-precision values survive any JSON reader.
+strings so arbitrary-precision values survive any JSON reader.  The parser
+states each command's inputs: a missing, conflicting or foreign flag is a
+usage error (exit 2), and a bad value a DomainError (exit 1).
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ def _load_partition(path: str):
     parts = []
     for line in _read_lines(path, "partition"):
         fields = line.split()
+        if len(fields) > 2:
+            raise DomainError(f"malformed partition line {line!r}; expected root [multiplicity]")
         root = parse_root(fields[0])
         mult = 1
         if len(fields) > 1:
@@ -94,16 +98,21 @@ def _load_throws(path: str) -> ThrowSet:
     return ThrowSet.from_throws(throws)
 
 
-def _state_str(state) -> str:
-    return ",".join(str(x) for x in state) if state else "0"
-
-
 def _partition_str(partition) -> str:
     return " ".join(str(root) for root in partition_parts(partition)) or "(empty)"
 
 
 def _partition_json(partition):
     return [[str(root), mult] for root, mult in partition]
+
+
+def _sequence_str(seq) -> str:
+    return " -> ".join(",".join(map(str, state)) or "0" for state in seq.states)
+
+
+def _sequence_json(seq):
+    return {"states": [list(s) for s in seq.states],
+            "throws": [[t.time, t.height] for t in seq.throws]}
 
 
 def _poly_str(coeffs, var: str = "q") -> str:
@@ -132,19 +141,16 @@ def _poly_str(coeffs, var: str = "q") -> str:
 
 
 def _resolve_weight(args, lie_type: str, rank: int):
-    if args.weight_alpha is not None and args.weight_eps is not None:
-        raise DomainError("pass --weight-alpha or --weight-eps, not both")
-    if args.weight_alpha:
+    """The weight of --weight-alpha or else --weight-eps; the parser lets
+    exactly one through."""
+    if args.weight_alpha is not None:
         coeffs = _parse_ints(args.weight_alpha, "simple-root coefficients")
         return weight_from_simple(lie_type, rank, coeffs)
-    if args.weight_eps:
-        weight = _parse_ints(args.weight_eps, "weight")
-        if len(weight) != ambient_dim(lie_type, rank):
-            raise DomainError(
-                f"weight has {len(weight)} coordinates, ambient dimension is "
-                f"{ambient_dim(lie_type, rank)}")
-        return weight
-    raise DomainError("a weight is required (--weight-alpha or --weight-eps)")
+    weight = _parse_ints(args.weight_eps, "weight")
+    if len(weight) != ambient_dim(lie_type, rank):
+        raise DomainError(f"weight has {len(weight)} coordinates, ambient dimension is "
+                          f"{ambient_dim(lie_type, rank)}")
+    return weight
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -174,7 +180,7 @@ def _cmd_roots(args) -> int:
 def _cmd_kostant(args) -> int:
     weight = _resolve_weight(args, args.type, args.rank)
     allowed = positive_roots(args.type, args.rank)
-    if args.roots:
+    if args.roots is not None:
         subset = _load_roots(args.roots)
         valid = set(allowed)
         for root in subset:
@@ -200,11 +206,9 @@ def _cmd_kostant(args) -> int:
 
 
 def _throwset_from_args(args) -> ThrowSet:
-    if args.throws and args.throws_file:
-        raise DomainError("pass --throws or --throws-file, not both")
-    if args.throws:
+    if args.throws is not None:
         return _parse_throws(args.throws)
-    if args.throws_file:
+    if args.throws_file is not None:
         return _load_throws(args.throws_file)
     return ALL_THROWS
 
@@ -222,108 +226,89 @@ def _cmd_js(args) -> int:
         return 0
     seqs = enumerate_sequences(a, b, args.length, args.capacity, throws)
     if args.json:
-        _emit_json({
-            "count": str(len(seqs)),
-            "sequences": [{
-                "states": [list(s) for s in seq.states],
-                "throws": [[t.time, t.height] for t in seq.throws],
-            } for seq in seqs],
-        })
+        _emit_json({"count": str(len(seqs)), "sequences": [_sequence_json(seq) for seq in seqs]})
         return 0
     for seq in seqs:
-        print(" -> ".join(_state_str(s) for s in seq.states))
+        print(_sequence_str(seq))
     if not args.quiet:
         print(f"# {len(seqs)} sequences")
     return 0
 
 
-def _cmd_bijection(args) -> int:
-    if args.action == "roundtrip":
-        if args.weight_eps is None:
-            raise DomainError("bijection roundtrip needs --weight-eps")
-        weight = _parse_ints(args.weight_eps, "weight")
-        allowed = _load_roots(args.roots) if args.roots else None
-        report = verify_correspondence(weight, allowed, args.capacity)
-        if args.json:
-            _emit_json({
-                "weight": list(report.weight),
-                "partition_count": str(report.partition_count),
-                "sequence_count": str(report.sequence_count),
-                "counts_equal": report.counts_equal,
-                "injective": report.injective,
-                "image_contained": report.image_contained,
-                "roundtrip_ok": report.roundtrip_ok,
-                "capacity_count": None if report.capacity_count is None
-                else str(report.capacity_count),
-                "ok": report.ok,
-            })
-        else:
-            print(f"partitions: {report.partition_count}")
-            print(f"sequences:  {report.sequence_count}")
-            if report.capacity_count is not None:
-                print(f"capacity-restricted partitions: {report.capacity_count}")
-            print("ok" if report.ok else f"FAILED: {report.first_mismatch}")
-        return 0 if report.ok else 1
-    for flag, value in (("--partition FILE", args.partition), ("--initial", args.initial),
-                        ("--length", args.length)):
-        if value is None:
-            raise DomainError(f"bijection to-juggling needs {flag}")
+def _cmd_roundtrip(args) -> int:
+    weight = _parse_ints(args.weight_eps, "weight")
+    allowed = _load_roots(args.roots) if args.roots is not None else None
+    report = verify_correspondence(weight, allowed, args.capacity)
+    if args.json:
+        _emit_json({
+            "weight": list(report.weight),
+            "partition_count": str(report.partition_count),
+            "sequence_count": str(report.sequence_count),
+            "counts_equal": report.counts_equal,
+            "injective": report.injective,
+            "image_contained": report.image_contained,
+            "roundtrip_ok": report.roundtrip_ok,
+            "capacity_count": None if report.capacity_count is None
+            else str(report.capacity_count),
+            "ok": report.ok,
+        })
+    else:
+        print(f"partitions: {report.partition_count}")
+        print(f"sequences:  {report.sequence_count}")
+        if report.capacity_count is not None:
+            print(f"capacity-restricted partitions: {report.capacity_count}")
+        print("ok" if report.ok else f"FAILED: {report.first_mismatch}")
+    return 0 if report.ok else 1
+
+
+def _cmd_to_juggling(args) -> int:
     partition = _load_partition(args.partition)
     initial = _parse_ints(args.initial, "initial state")
     seq = gamma(partition, initial, args.length)
     if args.json:
-        _emit_json({
-            "states": [list(s) for s in seq.states],
-            "throws": [[t.time, t.height] for t in seq.throws],
-        })
+        _emit_json(_sequence_json(seq))
     else:
-        print(" -> ".join(_state_str(s) for s in seq.states))
+        print(_sequence_str(seq))
     return 0
 
 
-def _cmd_bcd(args) -> int:
-    if args.action == "count":
-        if args.type is None or args.type == "A":
-            raise DomainError("bcd count covers types B, C, D (--type required)")
-        if args.highest_root and (args.weight_alpha is not None or args.weight_eps is not None):
-            raise DomainError("pass --highest-root or a weight, not both")
-        if args.highest_root:
-            weight = highest_root(args.type, args.rank)
-        else:
-            weight = _resolve_weight(args, args.type, args.rank)
-        is_highest = tuple(weight) == highest_root(args.type, args.rank)
-        methods = {}
-        if args.method in ("oracle", "all"):
-            methods["oracle"] = count_partitions(weight, positive_roots(args.type, args.rank))
-        if args.method in ("schmidt-bincer", "all"):
-            methods["schmidt_bincer"] = schmidt_bincer_count(args.type, args.rank, weight)
-        if args.method == "juggling" and not is_highest:
-            raise DomainError("the juggling identity is proved for the "
-                              "highest root only; use --highest-root")
-        if args.method in ("juggling", "all") and is_highest:
-            methods["juggling"] = highest_root_juggling(args.type, args.rank)
-        if args.method == "all":
-            methods["literal_schmidt_bincer"] = schmidt_bincer_literal(
-                args.type, args.rank, weight)
-        agree = len({methods[k] for k in methods if k != "literal_schmidt_bincer"}) <= 1
-        if args.json:
-            _emit_json({
-                "type": args.type,
-                "rank": args.rank,
-                "weight": list(weight),
-                "methods": {k: str(v) for k, v in methods.items()},
-                "agree": agree,
-            })
-        else:
-            for name in sorted(methods):
-                print(f"{name}: {methods[name]}")
-            if not args.quiet and len(methods) > 1:
-                print(f"# methods agree: {agree}")
-        return 0 if agree else 1
-    if args.which is None:
-        raise DomainError("bcd map needs --which b2a or c2a")
-    if args.partition is None:
-        raise DomainError("bcd map needs --partition FILE")
+def _cmd_bcd_count(args) -> int:
+    if args.highest_root:
+        weight = highest_root(args.type, args.rank)
+    else:
+        weight = _resolve_weight(args, args.type, args.rank)
+    is_highest = tuple(weight) == highest_root(args.type, args.rank)
+    methods = {}
+    if args.method in ("oracle", "all"):
+        methods["oracle"] = count_partitions(weight, positive_roots(args.type, args.rank))
+    if args.method in ("schmidt-bincer", "all"):
+        methods["schmidt_bincer"] = schmidt_bincer_count(args.type, args.rank, weight)
+    if args.method == "juggling" and not is_highest:
+        raise DomainError("the juggling identity is proved for the "
+                          "highest root only; use --highest-root")
+    if args.method in ("juggling", "all") and is_highest:
+        methods["juggling"] = highest_root_juggling(args.type, args.rank)
+    if args.method == "all":
+        methods["literal_schmidt_bincer"] = schmidt_bincer_literal(
+            args.type, args.rank, weight)
+    agree = len({methods[k] for k in methods if k != "literal_schmidt_bincer"}) <= 1
+    if args.json:
+        _emit_json({
+            "type": args.type,
+            "rank": args.rank,
+            "weight": list(weight),
+            "methods": {k: str(v) for k, v in methods.items()},
+            "agree": agree,
+        })
+    else:
+        for name in sorted(methods):
+            print(f"{name}: {methods[name]}")
+        if not args.quiet and len(methods) > 1:
+            print(f"# methods agree: {agree}")
+    return 0 if agree else 1
+
+
+def _cmd_bcd_map(args) -> int:
     partition = _load_partition(args.partition)
     if args.which == "b2a":
         image = b_to_a_map(partition, args.rank)
@@ -374,7 +359,8 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_permdet(args) -> int:
-    allowed = _load_roots(args.roots) if args.roots else positive_roots("A", args.rank)
+    allowed = (_load_roots(args.roots) if args.roots is not None
+               else positive_roots("A", args.rank))
     p = perm_det_count(args.rank, allowed)  # raises unless det(N) equals it
     oracle = count_partitions(highest_root("A", args.rank), allowed)
     if args.json:
@@ -529,8 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kostant", parents=[common], help="count or list partitions")
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
     p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--weight-alpha", help="comma-separated simple-root coefficients")
-    p.add_argument("--weight-eps", help="comma-separated standard coordinates")
+    weight = p.add_mutually_exclusive_group(required=True)
+    weight.add_argument("--weight-alpha", help="comma-separated simple-root coefficients")
+    weight.add_argument("--weight-eps", help="comma-separated standard coordinates")
     p.add_argument("--roots", help="file restricting the allowed roots")
     p.add_argument("--enumerate", action="store_true")
     p.set_defaults(handler=_cmd_kostant)
@@ -541,33 +528,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terminal", required=True)
     p.add_argument("--length", required=True, type=int)
     p.add_argument("--capacity", type=int)
-    p.add_argument("--throws", help="heights=h1,h2,... restriction")
-    p.add_argument("--throws-file", help="file of time:height lines")
+    throws = p.add_mutually_exclusive_group()
+    throws.add_argument("--throws", help="heights=h1,h2,... restriction")
+    throws.add_argument("--throws-file", help="file of time:height lines")
     p.set_defaults(handler=_cmd_js)
 
-    p = sub.add_parser("bijection", parents=[common],
-                       help="verify or apply the partition/sequence map")
-    p.add_argument("action", choices=("roundtrip", "to-juggling"))
-    p.add_argument("--weight-eps")
+    # An action's flags go on its own parser, so a flag of the other
+    # action is a usage error rather than a silently ignored value.
+    actions = sub.add_parser("bijection", help="verify or apply the partition/sequence map"
+                             ).add_subparsers(dest="action", required=True)
+    p = actions.add_parser("roundtrip", parents=[common], help="check both directions")
+    p.add_argument("--weight-eps", required=True)
     p.add_argument("--roots")
     p.add_argument("--capacity", type=int)
-    p.add_argument("--partition")
-    p.add_argument("--initial")
-    p.add_argument("--length", type=int)
-    p.set_defaults(handler=_cmd_bijection)
+    p.set_defaults(handler=_cmd_roundtrip)
+    p = actions.add_parser("to-juggling", parents=[common], help="map a partition file")
+    p.add_argument("--partition", required=True)
+    p.add_argument("--initial", required=True)
+    p.add_argument("--length", required=True, type=int)
+    p.set_defaults(handler=_cmd_to_juggling)
 
-    p = sub.add_parser("bcd", parents=[common], help="type B/C/D counts and maps")
-    p.add_argument("action", choices=("count", "map"))
-    p.add_argument("--type", choices=("A", "B", "C", "D"))
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--weight-eps")
-    p.add_argument("--weight-alpha")
-    p.add_argument("--highest-root", action="store_true")
+    actions = sub.add_parser("bcd", help="type B/C/D counts and maps"
+                             ).add_subparsers(dest="action", required=True)
+    p = actions.add_parser("count", parents=[common], help="count by several methods")
+    p.add_argument("--type", required=True, choices=("B", "C", "D"))
+    p.add_argument("--rank", required=True, type=int)
+    weight = p.add_mutually_exclusive_group(required=True)
+    weight.add_argument("--highest-root", action="store_true")
+    weight.add_argument("--weight-alpha")
+    weight.add_argument("--weight-eps")
     p.add_argument("--method", choices=("oracle", "juggling", "schmidt-bincer", "all"),
                    default="all")
-    p.add_argument("--which", choices=("b2a", "c2a"))
-    p.add_argument("--partition")
-    p.set_defaults(handler=_cmd_bcd)
+    p.set_defaults(handler=_cmd_bcd_count)
+    p = actions.add_parser("map", parents=[common], help="map a partition file to type A")
+    p.add_argument("--which", required=True, choices=("b2a", "c2a"))
+    p.add_argument("--rank", required=True, type=int)
+    p.add_argument("--partition", required=True)
+    p.set_defaults(handler=_cmd_bcd_map)
 
     p = sub.add_parser("poset", parents=[common], help="juggling poset characteristic polynomial")
     p.add_argument("action", choices=("charpoly",))

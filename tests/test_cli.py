@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import kjuggle
 from kjuggle import acceptance, bcd, cli, closedforms
 from kjuggle.cli import dispatch
-from kjuggle.errors import InvariantViolation
+from kjuggle.errors import DomainError, InvariantViolation
 from kjuggle.kostant import enumerate_partitions
 
 
@@ -268,22 +269,63 @@ def test_bcd_count_accepts_simple_root_weights(capsys):
     assert code == 0 and out.strip() == "oracle: 3"
 
 
-BOTH_WEIGHTS = "pass --weight-alpha or --weight-eps, not both"
-HIGHEST_AND_WEIGHT = "pass --highest-root or a weight, not both"
-
-
 @pytest.mark.parametrize("argv, message", [
     (["kostant", "--type", "A", "--rank", "2", "--weight-alpha", "1,1", "--weight-eps", "5,0,-5"],
-     BOTH_WEIGHTS),
+     "kjuggle kostant: error: argument --weight-eps: not allowed with argument --weight-alpha"),
     (["bcd", "count", "--type", "B", "--rank", "2", "--weight-alpha", "1,1",
-      "--weight-eps", "1,1"], BOTH_WEIGHTS),
+      "--weight-eps", "1,1"],
+     "kjuggle bcd count: error: argument --weight-eps: not allowed with argument --weight-alpha"),
     (["bcd", "count", "--type", "B", "--rank", "2", "--highest-root", "--weight-eps", "9,9"],
-     HIGHEST_AND_WEIGHT),
+     "kjuggle bcd count: error: argument --weight-eps: not allowed with argument --highest-root"),
     (["bcd", "count", "--type", "C", "--rank", "3", "--highest-root", "--weight-alpha", "1,1,1"],
-     HIGHEST_AND_WEIGHT),
-])
+     "kjuggle bcd count: error: argument --weight-alpha: not allowed with argument "
+     "--highest-root"),
+], ids=["kostant-alpha-eps", "bcd-alpha-eps", "bcd-highest-eps", "bcd-highest-alpha"])
 def test_a_second_weight_is_refused_not_ignored(capsys, argv, message):
-    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert run(capsys, *argv) == (2, "", f"{message}\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    # before, bcd count ignored --which and --partition and printed its counts
+    ("bcd count --type B --rank 2 --highest-root --which c2a --partition nothing",
+     "unrecognized arguments: --which c2a --partition nothing"),
+    ("bcd map --which c2a --rank 3 --partition nothing --method oracle",
+     "unrecognized arguments: --method oracle"),
+    ("bcd map --which c2a --rank 3 --partition nothing --weight-eps 1,2,3",
+     "unrecognized arguments: --weight-eps 1,2,3"),
+    ("bijection roundtrip --weight-eps 1,1,-1,-1 --partition nothing",
+     "unrecognized arguments: --partition nothing"),
+    ("bijection to-juggling --partition nothing --initial 1,1,-1 --length 3 --capacity 2",
+     "unrecognized arguments: --capacity 2"),
+])
+def test_an_action_refuses_the_other_actions_flags(capsys, monkeypatch, command, message):
+    reads = _count_calls(monkeypatch, cli._read_lines, cli)
+    assert run(capsys, *command.split()) == (2, "", f"kjuggle: error: {message}\n")
+    assert reads == []
+
+
+@pytest.mark.parametrize("command, message", [
+    ("js count --initial 1,1 --terminal 1,1 --length 2 --throws=",
+     "malformed throw spec ''"),
+    ("js enum --initial 1,1 --terminal 1,1 --length 2 --throws-file=",
+     "cannot read throws file "),
+    ("kostant --type A --rank 2 --weight-alpha 1,1 --roots=", "cannot read roots file "),
+    ("bijection roundtrip --weight-eps 1,1,-1,-1 --roots=", "cannot read roots file "),
+    ("permdet --rank 3 --roots=", "cannot read roots file "),
+])
+def test_an_empty_flag_value_is_read_not_dropped(capsys, command, message):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"error: {message}")
+
+
+def test_a_partition_line_has_at_most_two_fields(tmp_path):
+    path = tmp_path / "part.txt"
+    path.write_text("1-2\n1-3 1 junk\n")
+    with pytest.raises(DomainError, match=r"^malformed partition line '1-3 1 junk'"):
+        cli._load_partition(str(path))
+    path.write_text("1-2\n1-3 2\n")
+    assert cli._partition_str(cli._load_partition(str(path))) == "1-2 1-3 1-3"
 
 
 def test_bcd_juggling_method_needs_highest_root(capsys):
@@ -475,7 +517,9 @@ def _ends_cleanly(argv, as_json):
         assert len(lines) == 1 and lines[0].startswith("error: ") and out.getvalue() == ""
     else:
         assert code == 2 and out.getvalue() == ""
-        assert len(lines) == 1 and lines[0].startswith(f"kjuggle {argv[0]}: error: ")
+        assert len(lines) == 1 and lines[0].startswith((
+            f"kjuggle {argv[0]}: error: ", f"kjuggle {' '.join(argv[:2])}: error: ",
+            "kjuggle: error: unrecognized arguments: "))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -505,7 +549,7 @@ def test_js_count_inputs_end_cleanly(initial, terminal, length, capacity, throws
 # Partition files, by name; "" leaves the flag out, "missing" names no file.
 PARTITION_FILES = {"a3": "1-3\n2-4\n", "a3b": "1-2 1\n2-3 1\n2-4 1\n", "b3": "1+2\n",
                    "b4": "1\n2\n", "c3": "21\n", "c3b": "1-2\n1+2\n", "bad": "zz\n",
-                   "zero": "1-2 0\n", "empty": ""}
+                   "zero": "1-2 0\n", "three": "1-3 1 junk\n", "empty": ""}
 PARTITIONS = ["", "missing"] + sorted(PARTITION_FILES)
 CLI_WEIGHTS = [None, "1,1,-1,-1", "2,0,-1,-1", "1,-1", "1,1,1", "0", "", "x"]
 CLI_RANKS = ["-1", "0", "1", "2", "3", "4", "z"]
@@ -536,14 +580,15 @@ def partition_dir(tmp_path_factory):
        length=st.sampled_from(JS_LENGTHS), as_json=st.booleans())
 def test_bijection_inputs_end_cleanly(partition_dir, action, weight, capacity, roots,
                                       partition, initial, length, as_json):
-    argv = ["bijection", action]
-    for flag, value in (("--weight-eps", weight), ("--capacity", capacity),
-                        ("--initial", initial), ("--length", length)):
-        if value is not None:
-            argv += [flag, value]
-    if roots:
-        argv += ["--roots", str(partition_dir / roots)]
-    _ends_cleanly(argv + _file_flag("--partition", partition_dir, partition), as_json)
+    # each action gets only its own flags; another action's flag is
+    # test_an_action_refuses_the_other_actions_flags
+    if action == "roundtrip":
+        argv = _flags(("--weight-eps", weight), ("--capacity", capacity))
+        argv += _file_flag("--roots", partition_dir, roots)
+    else:
+        argv = _flags(("--initial", initial), ("--length", length))
+        argv += _file_flag("--partition", partition_dir, partition)
+    _ends_cleanly(["bijection", action] + argv, as_json)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -558,11 +603,11 @@ def test_bijection_inputs_end_cleanly(partition_dir, action, weight, capacity, r
        partition=st.sampled_from(PARTITIONS), as_json=st.booleans())
 def test_bcd_inputs_end_cleanly(partition_dir, action, lie_type, rank, weight, method, which,
                                 partition, as_json):
-    argv = ["bcd", action, "--rank", rank] + list(weight or ())
-    for flag, value in (("--type", lie_type), ("--method", method), ("--which", which)):
-        if value is not None:
-            argv += [flag, value]
-    _ends_cleanly(argv + _file_flag("--partition", partition_dir, partition), as_json)
+    if action == "count":
+        argv = list(weight or ()) + _flags(("--type", lie_type), ("--method", method))
+    else:
+        argv = _flags(("--which", which)) + _file_flag("--partition", partition_dir, partition)
+    _ends_cleanly(["bcd", action, "--rank", rank] + argv, as_json)
 
 
 # Roots and throws files, by name; "" leaves the flag out, "missing" names no
@@ -685,3 +730,26 @@ def test_small_commands_end_cleanly(data, command, row, upto, variant, which, ra
     if command in ("lidskii", "ehrhart"):
         argv += weight
     _ends_cleanly(argv + ["--quiet"] * quiet, as_json)
+
+
+# The files the README's command-line tour names.
+TOUR_FILES = {"lam.txt": "1-2\n1-3\n2-3\n2-4\n3-4\n", "part.txt": "1-2\n2-3 2\n3-4\n",
+              "part_c3.txt": "1-2\n1+2\n"}
+
+
+def _tour_lines() -> list:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tour = readme.read_text().split("## Command-line tour", 1)[1]
+    block = tour.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kjuggle ")]
+
+
+@pytest.mark.parametrize("line", _tour_lines())
+def test_readme_tour_runs(line, tmp_path, monkeypatch, capsys):
+    for name, text in TOUR_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert (code, err) == (0, "")
+    if "# -> " in line:
+        assert out.splitlines()[0] == line.split("# -> ")[1].strip()
