@@ -19,8 +19,8 @@ from .juggling import count_sequences, normalize_state
 from .kostant import (Partition, count_partitions, count_weighted,
                       make_partition, partition_parts, partition_weight)
 from .roots import (MINUS, PLUS, SINGLE, Root, edouble, eminus, eplus,
-                    esingle, check_type_rank, highest_root, positive_roots,
-                    root_to_weight)
+                    esingle, check_positive_roots, check_type_rank, highest_root,
+                    positive_roots, root_to_weight)
 
 UP, DOWN, SINGLE_DROP, DOUBLE_DROP, CANCEL = "up", "down", "drop1", "drop2", "cancel"
 
@@ -261,10 +261,7 @@ def _split_parts(partition: Partition):
 
 
 def _validate_partition(partition: Partition, lie_type: str, rank: int, target) -> None:
-    allowed = set(positive_roots(lie_type, rank))
-    for root in partition_parts(partition):
-        if root not in allowed:
-            raise DomainError(f"root {root} is not a positive root of {lie_type}_{rank}")
+    check_positive_roots(lie_type, rank, partition_parts(partition))
     if partition_weight(partition, len(target)) != tuple(target):
         raise DomainError("partition does not sum to the expected weight")
 

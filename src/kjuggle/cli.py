@@ -1,8 +1,9 @@
 """Command-line interface.
 
 One subcommand per subsystem plus a selftest that runs the acceptance
-criteria.  Every command takes --json; counts are serialized as decimal
-strings so arbitrary-precision values survive any JSON reader.  The parser
+criteria.  Every command takes --json (poset refuses it with --dot); counts
+are serialized as decimal strings so arbitrary-precision values survive any
+JSON reader.  Handlers print nothing: dispatch prints each result.  The parser
 states each command's inputs: a missing, conflicting or foreign flag is a
 usage error (exit 2), and a bad value a DomainError (exit 1).
 """
@@ -15,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from . import acceptance
 from .bcd import (b_to_a_inverse, b_to_a_map, c_to_a_inverse, c_to_a_map,
@@ -31,12 +33,13 @@ from .kostant import (count_partitions, enumerate_partitions, make_partition,
                       partition_parts)
 from .poset import (binomial_power_coefficients, build_poset,
                     characteristic_polynomial, poset_dot)
-from .roots import (ambient_dim, highest_root, parse_root, positive_roots,
-                    weight_from_simple)
+from .roots import (ambient_dim, check_positive_roots, highest_root, parse_root,
+                    positive_roots, weight_from_simple)
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    # default=list prints a listing that a handler left as an iterator
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list))
 
 
 def _parse_ints(text: str, what: str):
@@ -154,55 +157,37 @@ def _resolve_weight(args, lie_type: str, rank: int):
 
 
 # --- subcommand handlers -------------------------------------------------
+#
+# Each handler returns (exit code, JSON payload, text lines), and dispatch
+# prints the payload under --json, else the lines.  A line that starts with
+# "# " is commentary, which --quiet drops.  A listing is left as an iterator
+# in both, so only the form that is printed is built.
 
 
-def _cmd_roots(args) -> int:
-    roots = positive_roots(args.type, args.rank)
-    ambient = ambient_dim(args.type, args.rank)
-    if args.json:
-        _emit_json({
-            "type": args.type,
-            "rank": args.rank,
-            "ambient": ambient,
-            "count": str(len(roots)),
-            "roots": [str(r) for r in roots],
-            "highest_root": list(highest_root(args.type, args.rank)),
-        })
-        return 0
-    for root in roots:
-        print(root)
-    if not args.quiet:
-        print(f"# {len(roots)} positive roots of {args.type}_{args.rank}, "
-              f"highest root {list(highest_root(args.type, args.rank))}")
-    return 0
+def _cmd_roots(args) -> tuple:
+    roots = [str(root) for root in positive_roots(args.type, args.rank)]
+    top = list(highest_root(args.type, args.rank))
+    payload = {"type": args.type, "rank": args.rank, "ambient": ambient_dim(args.type, args.rank),
+               "count": str(len(roots)), "roots": roots, "highest_root": top}
+    return 0, payload, roots + [
+        f"# {len(roots)} positive roots of {args.type}_{args.rank}, highest root {top}"]
 
 
-def _cmd_kostant(args) -> int:
+def _cmd_kostant(args) -> tuple:
     weight = _resolve_weight(args, args.type, args.rank)
     allowed = positive_roots(args.type, args.rank)
     if args.roots is not None:
-        subset = _load_roots(args.roots)
-        valid = set(allowed)
-        for root in subset:
-            if root not in valid:
-                raise DomainError(f"root {root} is not a positive root of "
-                                  f"{args.type}_{args.rank}")
-        allowed = subset
+        allowed = _load_roots(args.roots)
+        check_positive_roots(args.type, args.rank, allowed)
     count = count_partitions(weight, allowed)
     partitions = enumerate_partitions(weight, allowed) if args.enumerate else []
     if args.enumerate and len(partitions) != count:
         raise InvariantViolation(f"{len(partitions)} partitions listed, {count} counted, for "
                                  f"weight {list(weight)} over {' '.join(map(str, allowed))}")
-    if args.json:
-        payload = {"count": str(count)}
-        if args.enumerate:
-            payload["partitions"] = [_partition_json(p) for p in partitions]
-        _emit_json(payload)
-        return 0
-    print(count)
-    for p in partitions:
-        print(_partition_str(p))
-    return 0
+    payload = {"count": str(count)}
+    if args.enumerate:
+        payload["partitions"] = map(_partition_json, partitions)
+    return 0, payload, chain([str(count)], map(_partition_str, partitions))
 
 
 def _throwset_from_args(args) -> ThrowSet:
@@ -213,66 +198,49 @@ def _throwset_from_args(args) -> ThrowSet:
     return ALL_THROWS
 
 
-def _cmd_js(args) -> int:
+def _cmd_js(args) -> tuple:
     a = _parse_ints(args.initial, "initial state")
     b = _parse_ints(args.terminal, "terminal state")
     throws = _throwset_from_args(args)
     if args.action == "count":
         count = count_sequences(a, b, args.length, args.capacity, throws)
-        if args.json:
-            _emit_json({"count": str(count)})
-        else:
-            print(count)
-        return 0
+        return 0, {"count": str(count)}, [str(count)]
     seqs = enumerate_sequences(a, b, args.length, args.capacity, throws)
-    if args.json:
-        _emit_json({"count": str(len(seqs)), "sequences": [_sequence_json(seq) for seq in seqs]})
-        return 0
-    for seq in seqs:
-        print(_sequence_str(seq))
-    if not args.quiet:
-        print(f"# {len(seqs)} sequences")
-    return 0
+    payload = {"count": str(len(seqs)), "sequences": map(_sequence_json, seqs)}
+    return 0, payload, chain(map(_sequence_str, seqs), [f"# {len(seqs)} sequences"])
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args) -> tuple:
     weight = _parse_ints(args.weight_eps, "weight")
     allowed = _load_roots(args.roots) if args.roots is not None else None
     report = verify_correspondence(weight, allowed, args.capacity)
-    if args.json:
-        _emit_json({
-            "weight": list(report.weight),
-            "partition_count": str(report.partition_count),
-            "sequence_count": str(report.sequence_count),
-            "counts_equal": report.counts_equal,
-            "injective": report.injective,
-            "image_contained": report.image_contained,
-            "roundtrip_ok": report.roundtrip_ok,
-            "capacity_count": None if report.capacity_count is None
-            else str(report.capacity_count),
-            "ok": report.ok,
-        })
-    else:
-        print(f"partitions: {report.partition_count}")
-        print(f"sequences:  {report.sequence_count}")
-        if report.capacity_count is not None:
-            print(f"capacity-restricted partitions: {report.capacity_count}")
-        print("ok" if report.ok else f"FAILED: {report.first_mismatch}")
-    return 0 if report.ok else 1
+    payload = {
+        "weight": list(report.weight),
+        "partition_count": str(report.partition_count),
+        "sequence_count": str(report.sequence_count),
+        "counts_equal": report.counts_equal,
+        "injective": report.injective,
+        "image_contained": report.image_contained,
+        "roundtrip_ok": report.roundtrip_ok,
+        "capacity_count": None if report.capacity_count is None
+        else str(report.capacity_count),
+        "ok": report.ok,
+    }
+    lines = [f"partitions: {report.partition_count}", f"sequences:  {report.sequence_count}"]
+    if report.capacity_count is not None:
+        lines.append(f"capacity-restricted partitions: {report.capacity_count}")
+    lines.append("ok" if report.ok else f"FAILED: {report.first_mismatch}")
+    return 0 if report.ok else 1, payload, lines
 
 
-def _cmd_to_juggling(args) -> int:
+def _cmd_to_juggling(args) -> tuple:
     partition = _load_partition(args.partition)
     initial = _parse_ints(args.initial, "initial state")
     seq = gamma(partition, initial, args.length)
-    if args.json:
-        _emit_json(_sequence_json(seq))
-    else:
-        print(_sequence_str(seq))
-    return 0
+    return 0, _sequence_json(seq), [_sequence_str(seq)]
 
 
-def _cmd_bcd_count(args) -> int:
+def _cmd_bcd_count(args) -> tuple:
     if args.highest_root:
         weight = highest_root(args.type, args.rank)
     else:
@@ -292,23 +260,20 @@ def _cmd_bcd_count(args) -> int:
         methods["literal_schmidt_bincer"] = schmidt_bincer_literal(
             args.type, args.rank, weight)
     agree = len({methods[k] for k in methods if k != "literal_schmidt_bincer"}) <= 1
-    if args.json:
-        _emit_json({
-            "type": args.type,
-            "rank": args.rank,
-            "weight": list(weight),
-            "methods": {k: str(v) for k, v in methods.items()},
-            "agree": agree,
-        })
-    else:
-        for name in sorted(methods):
-            print(f"{name}: {methods[name]}")
-        if not args.quiet and len(methods) > 1:
-            print(f"# methods agree: {agree}")
-    return 0 if agree else 1
+    payload = {
+        "type": args.type,
+        "rank": args.rank,
+        "weight": list(weight),
+        "methods": {k: str(v) for k, v in methods.items()},
+        "agree": agree,
+    }
+    lines = [f"{name}: {methods[name]}" for name in sorted(methods)]
+    if len(methods) > 1:
+        lines.append(f"# methods agree: {agree}")
+    return 0 if agree else 1, payload, lines
 
 
-def _cmd_bcd_map(args) -> int:
+def _cmd_bcd_map(args) -> tuple:
     partition = _load_partition(args.partition)
     if args.which == "b2a":
         image = b_to_a_map(partition, args.rank)
@@ -319,147 +284,106 @@ def _cmd_bcd_map(args) -> int:
     if back != partition:
         raise InvariantViolation(f"map roundtrip failed for --which {args.which} --rank "
                                  f"{args.rank} on partition {_partition_str(partition)}")
-    if args.json:
-        _emit_json({"image": _partition_json(image), "roundtrip_ok": True})
-    else:
-        print(_partition_str(image))
-        if not args.quiet:
-            print("# roundtrip: ok")
-    return 0
+    payload = {"image": _partition_json(image), "roundtrip_ok": True}
+    return 0, payload, [_partition_str(image), "# roundtrip: ok"]
 
 
-def _cmd_poset(args) -> int:
+def _cmd_poset(args) -> tuple:
     a = _parse_ints(args.initial, "initial state")
     b = _parse_ints(args.terminal, "terminal state")
     poset = build_poset(a, b, args.length, args.capacity)
-    if args.dot:
-        print(poset_dot(poset))
-        return 0
+    if args.dot:  # the parser refuses --dot with --json
+        return 0, None, [poset_dot(poset)]
     coeffs = characteristic_polynomial(poset)
     pretty = _poly_str(coeffs)
     factored = None
     degree = len(coeffs) - 1
     if coeffs == binomial_power_coefficients(degree):
         factored = f"(q - 1)^{degree}"
-    if args.json:
-        _emit_json({
-            "elements": str(len(poset)),
-            "covers": str(len(poset.covers)),
-            "coefficients": [str(c) for c in coeffs],
-            "polynomial": pretty,
-            "factored": factored,
-        })
-    else:
-        print(f"elements: {len(poset)}")
-        print(f"covers: {len(poset.covers)}")
-        print(f"characteristic polynomial: {pretty}")
-        if factored and not args.quiet:
-            print(f"# = {factored}")
-    return 0
+    payload = {
+        "elements": str(len(poset)),
+        "covers": str(len(poset.covers)),
+        "coefficients": [str(c) for c in coeffs],
+        "polynomial": pretty,
+        "factored": factored,
+    }
+    lines = [f"elements: {len(poset)}", f"covers: {len(poset.covers)}",
+             f"characteristic polynomial: {pretty}"]
+    if factored:
+        lines.append(f"# = {factored}")
+    return 0, payload, lines
 
 
-def _cmd_permdet(args) -> int:
+def _cmd_permdet(args) -> tuple:
     allowed = (_load_roots(args.roots) if args.roots is not None
                else positive_roots("A", args.rank))
     p = perm_det_count(args.rank, allowed)  # raises unless det(N) equals it
     oracle = count_partitions(highest_root("A", args.rank), allowed)
-    if args.json:
-        _emit_json({"permanent": str(p), "determinant": str(p), "kostant": str(oracle),
-                    "agree": p == oracle})
-    else:
-        print(f"permanent:   {p}")
-        print(f"determinant: {p}")
-        print(f"partitions:  {oracle}")
-    return 0 if p == oracle else 1
+    payload = {"permanent": str(p), "determinant": str(p), "kostant": str(oracle),
+               "agree": p == oracle}
+    lines = [f"permanent:   {p}", f"determinant: {p}", f"partitions:  {oracle}"]
+    return 0 if p == oracle else 1, payload, lines
 
 
-def _cmd_lidskii(args) -> int:
+def _cmd_lidskii(args) -> tuple:
     weight = _parse_ints(args.weight_eps, "weight")
     value = lidskii_count(weight, args.variant)  # "both" raises unless they agree
     values = {k: value for k in ("binomial", "multiset") if args.variant in (k, "both")}
     oracle = count_partitions(weight, positive_roots("A", len(weight) - 1))
     agree = value == oracle
-    if args.json:
-        _emit_json({"weight": list(weight),
-                    "values": {k: str(v) for k, v in values.items()},
-                    "oracle": str(oracle), "agree": agree})
-    else:
-        for name in sorted(values):
-            print(f"{name}: {values[name]}")
-        print(f"oracle: {oracle}")
-    return 0 if agree else 1
+    payload = {"weight": list(weight), "values": {k: str(v) for k, v in values.items()},
+               "oracle": str(oracle), "agree": agree}
+    lines = [f"{name}: {values[name]}" for name in sorted(values)] + [f"oracle: {oracle}"]
+    return 0 if agree else 1, payload, lines
 
 
-def _cmd_gf(args) -> int:
+def _cmd_gf(args) -> tuple:
     coeffs = gf_check(args.row, args.upto)  # raises unless the direct counts agree
     state, capacity, _, _ = gf_row(args.row)
-    if args.json:
-        _emit_json({"row": args.row, "state": list(state), "capacity": capacity,
-                    "coefficients": [str(c) for c in coeffs], "agree_with_direct": True})
-    else:
-        print(" ".join(str(c) for c in coeffs))
-        if not args.quiet:
-            print(f"# direct counts (n <= {min(args.upto, GF_DIRECT_MAX)}) agree: True")
-    return 0
+    payload = {"row": args.row, "state": list(state), "capacity": capacity,
+               "coefficients": [str(c) for c in coeffs], "agree_with_direct": True}
+    return 0, payload, [" ".join(str(c) for c in coeffs),
+                        f"# direct counts (n <= {min(args.upto, GF_DIRECT_MAX)}) agree: True"]
 
 
-def _cmd_closedform(args) -> int:
+def _cmd_closedform(args) -> tuple:
     value = closed_form_check(args.which, args.r)  # raises unless the oracle agrees
     surd = surd_value(args.which, args.r)
     payload = {"which": args.which, "r": args.r, "value": str(value),
                "surd": str(surd), "surd_matches": surd == value}
     if args.r <= ORACLE_MAX_RANK:
         payload["oracle"] = str(value)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(value)
-        if not args.quiet:
-            print(f"# exact surd value: {surd}")
-    return 0
+    return 0, payload, [str(value), f"# exact surd value: {surd}"]
 
 
-def _cmd_catalan(args) -> int:
+def _cmd_catalan(args) -> tuple:
     value = catalan_product_check(args.r)  # raises unless it is the Catalan product
-    if args.json:
-        _emit_json({"r": args.r, "sequences": str(value), "catalan_product": str(value)})
-    else:
-        print(value)
-    return 0
+    return 0, {"r": args.r, "sequences": str(value), "catalan_product": str(value)}, [str(value)]
 
 
-def _cmd_ehrhart(args) -> int:
+def _cmd_ehrhart(args) -> tuple:
     weight = _parse_ints(args.weight_eps, "weight")
     coeffs = ehrhart_fit(weight, args.extra)
-    if args.json:
-        _emit_json({"weight": list(weight),
-                    "coefficients": [str(c) for c in coeffs],
-                    "degree": str(len(coeffs) - 1),
-                    "held_out_points": str(args.extra)})
-    else:
-        print(_poly_str([Fraction(c) for c in coeffs], "t"))
-    return 0
+    payload = {"weight": list(weight), "coefficients": [str(c) for c in coeffs],
+               "degree": str(len(coeffs) - 1), "held_out_points": str(args.extra)}
+    return 0, payload, [_poly_str([Fraction(c) for c in coeffs], "t")]
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple:
     results = acceptance.run_all()
     failed = [r for r in results if not r[2]]
-    if args.json:
-        _emit_json({
-            "criteria": [{"key": key, "title": title, "ok": ok, "detail": detail,
-                          "seconds": f"{seconds:.3f}"}
-                         for key, title, ok, detail, seconds in results],
-            "passed": str(len(results) - len(failed)),
-            "failed": str(len(failed)),
-        })
-        return 0 if not failed else 1
-    for key, title, ok, detail, seconds in results:
-        if args.quiet and ok:
-            continue
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {key:<22} {title} [{detail}] {seconds:.3f} s")
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 0 if not failed else 1
+    payload = {
+        "criteria": [{"key": key, "title": title, "ok": ok, "detail": detail,
+                      "seconds": f"{seconds:.3f}"}
+                     for key, title, ok, detail, seconds in results],
+        "passed": str(len(results) - len(failed)),
+        "failed": str(len(failed)),
+    }
+    # --quiet drops the PASS rows, which are not commentary
+    lines = [f"{'PASS' if ok else 'FAIL'}  {key:<22} {title} [{detail}] {seconds:.3f} s"
+             for key, title, ok, detail, seconds in results if not (args.quiet and ok)]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    return 0 if not failed else 1, payload, lines
 
 
 # --- parser --------------------------------------------------------------
@@ -503,9 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kostant partition functions and magic multiplex juggling sequences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress commentary lines")
+    common = argparse.ArgumentParser(add_help=False, parents=[quiet])
     common.add_argument("--json", action="store_true", help="emit canonical JSON")
-    common.add_argument("--quiet", action="store_true", help="suppress commentary lines")
 
     p = sub.add_parser("roots", parents=[common], help="list positive roots")
     p.add_argument("--type", required=True, choices=("A", "B", "C", "D"))
@@ -566,13 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.set_defaults(handler=_cmd_bcd_map)
 
-    p = sub.add_parser("poset", parents=[common], help="juggling poset characteristic polynomial")
+    p = sub.add_parser("poset", parents=[quiet], help="juggling poset characteristic polynomial")
     p.add_argument("action", choices=("charpoly",))
     p.add_argument("--initial", required=True)
     p.add_argument("--terminal", required=True)
     p.add_argument("--length", required=True, type=int)
     p.add_argument("--capacity", type=int)
-    p.add_argument("--dot", action="store_true", help="emit the cover graph instead")
+    # the cover graph has no JSON form
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit canonical JSON")
+    output.add_argument("--dot", action="store_true", help="emit the cover graph instead")
     p.set_defaults(handler=_cmd_poset)
 
     p = sub.add_parser("permdet", parents=[common],
@@ -618,19 +546,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Run one command; returns the process exit status."""
+    """Run one command and print its result; returns the process exit status."""
     try:
         args = _parser().parse_args(_join_negative_lists(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        _emit_json(payload)
+    else:
+        for line in lines:
+            if not (args.quiet and line.startswith("# ")):
+                print(line)
+    return code
 
 
 def main() -> None:

@@ -174,6 +174,15 @@ def positive_roots(lie_type: str, rank: int) -> tuple[Root, ...]:
     return tuple(roots)
 
 
+def check_positive_roots(lie_type: str, rank: int, roots) -> None:
+    """Raise a DomainError naming the first of roots that is not a positive
+    root of the type."""
+    allowed = set(positive_roots(lie_type, rank))
+    for root in roots:
+        if root not in allowed:
+            raise DomainError(f"root {root} is not a positive root of {lie_type}_{rank}")
+
+
 def root_to_weight(root: Root, ambient: int) -> tuple[int, ...]:
     """Expand a root into its coordinate vector of the given length."""
     if root.terms[-1][0] > ambient:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -280,7 +281,12 @@ def test_bcd_count_accepts_simple_root_weights(capsys):
     (["bcd", "count", "--type", "C", "--rank", "3", "--highest-root", "--weight-alpha", "1,1,1"],
      "kjuggle bcd count: error: argument --weight-alpha: not allowed with argument "
      "--highest-root"),
-], ids=["kostant-alpha-eps", "bcd-alpha-eps", "bcd-highest-eps", "bcd-highest-alpha"])
+    # before, --dot printed the cover graph and ignored --json
+    (["poset", "charpoly", "--initial", "1", "--terminal", "1", "--length", "3", "--dot",
+      "--json"],
+     "kjuggle poset: error: argument --json: not allowed with argument --dot"),
+], ids=["kostant-alpha-eps", "bcd-alpha-eps", "bcd-highest-eps", "bcd-highest-alpha",
+        "poset-dot-json"])
 def test_a_second_weight_is_refused_not_ignored(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"{message}\n")
 
@@ -468,6 +474,55 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert run(capsys, "roots", "--type", "A", "--rank", "2", "--json") == first
     assert run(capsys, "roots", "--type", "B", "--rank", "2")[0] == 0
     assert builds == [1]
+
+
+# The functions of cli.py that may make or write the output decision; a
+# print with file= writes to stderr and is not counted.
+OUTPUT_READERS = {"args.json": {"dispatch"}, "_emit_json": {"dispatch"},
+                  "print": {"dispatch", "_emit_json"}, "args.quiet": {"dispatch", "_cmd_selftest"}}
+
+
+def _output_use(node):
+    """"args.json", "args.quiet", "_emit_json" or "print" where node reads
+    that flag or makes that call to stdout, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and node.attr in ("json", "quiet")):
+        return f"args.{node.attr}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "_emit_json" or (
+                node.func.id == "print" and all(k.arg != "file" for k in node.keywords)):
+            return node.func.id
+    return None
+
+
+def _output_breaches(tree) -> list:
+    """(function, use) for each output use in a top-level function that
+    OUTPUT_READERS does not allow there."""
+    return sorted({(func.name, use) for func in tree.body if isinstance(func, ast.FunctionDef)
+                   for use in map(_output_use, ast.walk(func))
+                   if use and func.name not in OUTPUT_READERS[use]})
+
+
+def test_only_dispatch_decides_and_writes_the_output():
+    """Handlers return their result; dispatch alone reads --json and
+    --quiet and writes stdout, and selftest alone reads --quiet too."""
+    assert _output_breaches(ast.parse(Path(cli.__file__).read_text())) == []
+    planted = ast.parse(
+        "def _cmd_x(args):\n"
+        "    if args.json:\n"
+        "        _emit_json({})\n"
+        "    elif not args.quiet:\n"
+        "        print('# note')\n"
+        "    print('error', file=sys.stderr)\n"
+        "def dispatch(argv):\n"
+        "    if args.json and not args.quiet:\n"
+        "        _emit_json(print(1))\n"
+        "def _cmd_selftest(args):\n"
+        "    return args.quiet\n"
+        "def _emit_json(payload):\n"
+        "    print(payload)\n")
+    assert _output_breaches(planted) == [("_cmd_x", "_emit_json"), ("_cmd_x", "args.json"),
+                                         ("_cmd_x", "args.quiet"), ("_cmd_x", "print")]
 
 
 def test_domain_errors_exit_one(capsys):
@@ -701,8 +756,7 @@ def test_permdet_inputs_end_cleanly(roots_dir, rank, roots, as_json):
 def test_poset_inputs_end_cleanly(initial, terminal, length, capacity, dot, as_json):
     argv = ["poset", "charpoly", "--initial", initial, "--terminal", terminal]
     argv += _flags(("--length", length), ("--capacity", capacity))
-    # --dot prints the cover graph, several lines, even with --json
-    code, out, _ = _ends_cleanly(argv + ["--dot"] * dot, as_json and not dot)
+    code, out, _ = _ends_cleanly(argv + ["--dot"] * dot, as_json)
     if code == 0 and dot:
         assert out.startswith("digraph")
 
@@ -746,10 +800,21 @@ def _tour_lines() -> list:
 
 @pytest.mark.parametrize("line", _tour_lines())
 def test_readme_tour_runs(line, tmp_path, monkeypatch, capsys):
+    """Each tour line runs as given; with --json it prints one canonical
+    JSON line (--dot refuses --json), and with --quiet its text without the
+    "# " commentary lines."""
     for name, text in TOUR_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     if "# -> " in line:
         assert out.splitlines()[0] == line.split("# -> ")[1].strip()
+    json_code, json_out, _ = run(capsys, *argv, "--json")
+    if "--dot" in argv:
+        assert (json_code, json_out) == (2, "")
+    else:
+        assert (json_code, json_out) == (code, canonical(json.loads(json_out)) + "\n")
+    plain = "".join(text for text in out.splitlines(keepends=True) if not text.startswith("# "))
+    assert run(capsys, *argv, "--quiet") == (code, plain, "")
