@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 
@@ -366,7 +365,7 @@ def _cmd_ehrhart(args) -> tuple:
     coeffs = ehrhart_fit(weight, args.extra)
     payload = {"weight": list(weight), "coefficients": [str(c) for c in coeffs],
                "degree": str(len(coeffs) - 1), "held_out_points": str(args.extra)}
-    return 0, payload, [_poly_str([Fraction(c) for c in coeffs], "t")]
+    return 0, payload, [_poly_str(coeffs, "t")]
 
 
 def _cmd_selftest(args) -> tuple:

@@ -2,8 +2,8 @@
 
 Everything here is exact: integer linear recurrences instead of floating
 surds, Ryser's formula and fraction-free elimination for permanents and
-determinants, and Lagrange interpolation over rationals for dilation
-polynomials.
+determinants, and integer forward differences for dilation polynomials,
+turned into rational coefficients by one final change of basis.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def determinant(matrix) -> int:
 
 
 def perm_det_count(rank: int, allowed) -> int:
-    """perm(M) for the restricted root set; checked against det(N) and
-    against the partition count of e1 - e_{r+1}."""
+    """perm(M) for the restricted root set, checked against det(N).  Both
+    count the partitions of e1 - e_{r+1} over the set; comparing with the
+    partition engine is left to the callers."""
     m, n = count_matrices(rank, allowed)
     p = permanent(m)
     d = determinant(n)
@@ -176,31 +177,21 @@ def lidskii_count(mu, variant: str = "both") -> int:
     """Evaluate the weighted expansion of the partition count over dominating
     compositions, with binomial or multiset coefficient weights (or both,
     checked against each other)."""
-    if variant not in ("binomial", "multiset", "both"):
-        raise DomainError(f"unknown variant {variant!r}")
     mu = tuple(mu)
     r = len(mu) - 1
-    binomial_total = 0
-    multiset_total = 0
-    for j, inner in _lidskii_terms(mu):
-        if variant in ("binomial", "both"):
-            w = 1
-            for k in range(r - 1):
-                w *= comb(mu[k] + r - 1 - k, j[k])
-            binomial_total += w * inner
-        if variant in ("multiset", "both"):
-            w = 1
-            for k in range(r - 1):
-                w *= multiset_coefficient(mu[k] + 1 - k, j[k])
-            multiset_total += w * inner
-    if variant == "binomial":
-        return binomial_total
-    if variant == "multiset":
-        return multiset_total
-    if binomial_total != multiset_total:
+    # (coefficient, its top for part k of a composition) per requested variant
+    weights = [(f, [mu[k] + shift - k for k in range(r - 1)])
+               for name, f, shift in (("binomial", comb, r - 1),
+                                      ("multiset", multiset_coefficient, 1))
+               if variant in (name, "both")]
+    if not weights:
+        raise DomainError(f"unknown variant {variant!r}")
+    terms = _lidskii_terms(mu)
+    totals = [sum(inner * prod(map(f, tops, j)) for j, inner in terms) for f, tops in weights]
+    if totals[0] != totals[-1]:
         raise InvariantViolation(
-            f"expansion variants disagree at {mu}: {binomial_total} != {multiset_total}")
-    return binomial_total
+            f"expansion variants disagree at {mu}: {totals[0]} != {totals[-1]}")
+    return totals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,42 +346,14 @@ def catalan_product_check(r: int) -> int:
     return js
 
 
-def lagrange_interpolate(points) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the unique polynomial through the points."""
-    coeffs = [Fraction(0)]
-    for i, (xi, yi) in enumerate(points):
-        term = [Fraction(yi)]
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            scale = Fraction(1, xi - xj)
-            new = [Fraction(0)] * (len(term) + 1)
-            for t, cf in enumerate(term):
-                new[t] += cf * (-xj) * scale
-                new[t + 1] += cf * scale
-            term = new
-        while len(coeffs) < len(term):
-            coeffs.append(Fraction(0))
-        for t, cf in enumerate(term):
-            coeffs[t] += cf
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def poly_eval(coeffs, x):
-    value = Fraction(0)
-    for cf in reversed(tuple(coeffs)):
-        value = value * x + cf
-    return value
-
-
 def ehrhart_fit(mu, extra: int = 2) -> tuple[Fraction, ...]:
-    """Interpolate t -> js of the t-fold dilation and verify held-out points.
+    """Fit t -> js of the t-fold dilation and verify held-out points.
 
-    Samples the dilation count at enough points to pin a polynomial of the
-    maximal possible degree, then insists the interpolant predicts `extra`
-    further points exactly.
+    Samples the dilation count f at t = 1..d+1, d the maximal possible
+    degree, and takes its forward differences: f(t) = sum_k D^k f(1)
+    C(t-1, k), every D^k f(1) an integer.  That form must predict `extra`
+    further points exactly.  Only then is it expanded into ascending
+    coefficients in t, integers over the common denominator d!.
     """
     mu = tuple(mu)
     r = len(mu) - 1
@@ -408,12 +371,24 @@ def ehrhart_fit(mu, extra: int = 2) -> tuple[Fraction, ...]:
         return count_sequences(normalize_state(tuple(t * x for x in mu[:r])),
                                (t * sum(mu[:r]),), r)
 
-    points = [(t, dilate_count(t)) for t in range(1, degree_bound + 2)]
-    coeffs = lagrange_interpolate(points)
+    diffs = [dilate_count(t) for t in range(1, degree_bound + 2)]
+    for k in range(1, degree_bound + 1):
+        for i in range(degree_bound, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
     for t in range(degree_bound + 2, degree_bound + 2 + extra):
-        predicted = poly_eval(coeffs, t)
+        predicted = sum(delta * comb(t - 1, k) for k, delta in enumerate(diffs))
         actual = dilate_count(t)
         if predicted != actual:
             raise InvariantViolation(f"weight {list(mu)}: interpolant predicts "
                                      f"{predicted} at t={t}, count is {actual}")
-    return coeffs
+    # Horner in the Newton basis, C(t-1, k+1) = C(t-1, k) (t-1-k)/(k+1),
+    # scaled by d!/k! so that every coefficient stays an integer.
+    numer = [diffs[degree_bound]]
+    scale = 1  # d!/k!
+    for k in range(degree_bound - 1, -1, -1):
+        scale *= k + 1
+        numer = [a - (k + 1) * b for a, b in zip([0] + numer, numer + [0])]
+        numer[0] += diffs[k] * scale
+    while len(numer) > 1 and numer[-1] == 0:
+        numer.pop()
+    return tuple(Fraction(c, scale) for c in numer)

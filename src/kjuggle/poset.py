@@ -123,7 +123,8 @@ def mobius_from_bottom(poset: JugglingPoset) -> list[int]:
     """Mobius values from the unique minimal element to every element."""
     minima = minimal_elements(poset)
     if len(minima) != 1:
-        names = ", ".join(str(gamma_inverse(poset.sequences[k])) for k in sorted(minima))
+        names = ", ".join(partition_label(gamma_inverse(poset.sequences[k]))
+                          for k in sorted(minima))
         raise DomainError(f"poset has {len(minima)} minimal elements: {names}")
     below = _strictly_below(poset)
     n = len(poset)
@@ -152,12 +153,16 @@ def binomial_power_coefficients(k: int) -> tuple[int, ...]:
     return tuple(comb(k, j) * (-1) ** (k - j) for j in range(k + 1))
 
 
+def partition_label(partition) -> str:
+    """A partition in root notation, one root per part: `1-3 2-4`."""
+    return " ".join(map(str, partition_parts(partition))) or "(empty)"
+
+
 def poset_dot(poset: JugglingPoset) -> str:
     """The cover graph in DOT format, bottom to top."""
     lines = ["digraph juggling_poset {", "  rankdir=BT;"]
     for k, part in enumerate(poset.partitions):
-        label = " ".join(str(r) for r in partition_parts(part)) or "(empty)"
-        lines.append(f'  n{k} [label="{label}"];')
+        lines.append(f'  n{k} [label="{partition_label(part)}"];')
     for lo, hi in poset.covers:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")

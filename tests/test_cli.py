@@ -200,6 +200,7 @@ PINNED = [
     ("lidskii --weight-eps 2,1,1,0,-4 --variant binomial --json",
      '{"agree":true,"oracle":"138","values":{"binomial":"138"},"weight":[2,1,1,0,-4]}\n'),
     ("lidskii --weight-eps 2,1,1,0,-4 --variant multiset", "multiset: 138\noracle: 138\n"),
+    ("ehrhart --weight-eps 1,1,1,-3", "(2/3)t^3 + (5/2)t^2 + (17/6)t + 1\n"),
     ("closedform --which c46 --r 5 --json",
      '{"oracle":"40","r":5,"surd":"40","surd_matches":true,"value":"40","which":"c46"}\n'),
     ("closedform --which c48 --r 6 --json",
@@ -374,7 +375,7 @@ def test_poset_charpoly_and_dot(capsys):
 def test_poset_two_minima_reported_but_dot_still_works(capsys):
     code, _, err = run(capsys, "poset", "charpoly", "--initial", "1,1",
                        "--terminal", "1,1", "--length", "2")
-    assert code == 1 and "minimal elements" in err
+    assert (code, err) == (1, "error: poset has 2 minimal elements: 1-3 2-4, 1-4 2-3\n")
     code, out, _ = run(capsys, "poset", "charpoly", "--initial", "1,1",
                        "--terminal", "1,1", "--length", "2", "--dot")
     assert code == 0 and out.startswith("digraph")

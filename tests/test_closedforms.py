@@ -12,12 +12,11 @@ from kjuggle.closedforms import (GF_ROWS, catalan,
                                  determinant, dominating_compositions,
                                  ehrhart_fit, generalized_binomial,
                                  gf_coefficients, gf_direct_count,
-                                 lagrange_interpolate, lidskii_count,
-                                 multiset_coefficient, perm_det_count,
-                                 permanent, poly_eval, surd_value)
+                                 lidskii_count, multiset_coefficient,
+                                 perm_det_count, permanent, surd_value)
 from kjuggle.bijection import net_change_target
 from kjuggle.errors import DomainError, InvariantViolation
-from kjuggle.juggling import count_sequences
+from kjuggle.juggling import count_sequences, normalize_state
 from kjuggle.kostant import count_partitions
 from kjuggle.roots import eminus, positive_roots
 
@@ -178,6 +177,15 @@ class TestLidskii:
                     closedforms._lidskii_table.cache_clear()
                     assert lidskii_count(mu, variant) == oracle, (mu, variant, "cold")
                     assert lidskii_count(mu, variant) == oracle, (mu, variant, "warm")
+
+    def test_variant_disagreement_names_the_weight(self, monkeypatch):
+        # rank 2 has the one term j = (1,), inner count 1: binomial C(2, 1)
+        monkeypatch.setattr(closedforms, "multiset_coefficient", lambda n, k: 3)
+        assert lidskii_count((1, 0, -1), "binomial") == 2
+        assert lidskii_count((1, 0, -1), "multiset") == 3
+        with pytest.raises(InvariantViolation) as info:
+            lidskii_count((1, 0, -1))
+        assert str(info.value) == "expansion variants disagree at (1, 0, -1): 2 != 3"
 
     def test_rejects_negative_entries_and_bad_variant(self):
         lidskii_count((1, 0, -1))  # the rank-2 terms are built
@@ -355,6 +363,34 @@ class TestCatalan:
             catalan_product_check(2)
 
 
+def lagrange_interpolate(points) -> tuple[Fraction, ...]:
+    """Coefficients (ascending) of the unique polynomial through the points,
+    by Lagrange's formula over rationals: the reference for ehrhart_fit."""
+    coeffs = [Fraction(0)]
+    for i, (xi, yi) in enumerate(points):
+        term = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            scale = Fraction(1, xi - xj)
+            new = [Fraction(0)] * (len(term) + 1)
+            for t, cf in enumerate(term):
+                new[t] += cf * (-xj) * scale
+                new[t + 1] += cf * scale
+            term = new
+        while len(coeffs) < len(term):
+            coeffs.append(Fraction(0))
+        for t, cf in enumerate(term):
+            coeffs[t] += cf
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _evaluate(coeffs, x):
+    return sum(cf * x ** power for power, cf in enumerate(coeffs))
+
+
 class TestEhrhart:
     def test_forced_sequence_is_constant(self):
         assert ehrhart_fit((1, -1), 2) == (Fraction(1),)
@@ -367,13 +403,30 @@ class TestEhrhart:
     def test_cubic_staircase_fit(self):
         coeffs = ehrhart_fit((1, 1, 1, -3), 2)
         assert coeffs == (Fraction(1), Fraction(17, 6), Fraction(5, 2), Fraction(2, 3))
-        assert poly_eval(coeffs, 1) == 7
+        assert _evaluate(coeffs, 1) == 7
+
+    def test_equals_the_lagrange_interpolant_on_seeded_weights(self):
+        rng = random.Random(25)
+        for r in range(1, 6):
+            for _ in range(4):
+                head = [rng.randint(0, 2 if r < 5 else 1) for _ in range(r)]
+                mu = tuple(head) + (-sum(head),)
+                points = [(t, count_sequences(normalize_state(tuple(t * x for x in head)),
+                                              (t * sum(head),), r))
+                          for t in range(1, r * (r - 1) // 2 + 2)]
+                coeffs = ehrhart_fit(mu, 1)
+                assert coeffs == lagrange_interpolate(points), mu
+                assert all(type(cf) is Fraction for cf in coeffs), mu
 
     def test_violation_names_the_weight(self, monkeypatch):
-        monkeypatch.setattr(closedforms, "poly_eval", lambda coeffs, x: -1)
+        def perturbed(a, b, *rest):
+            # one more sequence at the held-out dilation t = 3, b = (9,)
+            return count_sequences(a, b, *rest) + (b == (9,))
+
+        monkeypatch.setattr(closedforms, "count_sequences", perturbed)
         with pytest.raises(InvariantViolation) as info:
             ehrhart_fit((2, 1, -3), 1)
-        assert str(info.value) == "weight [2, 1, -3]: interpolant predicts -1 at t=3, count is 7"
+        assert str(info.value) == "weight [2, 1, -3]: interpolant predicts 7 at t=3, count is 8"
 
     def test_rejects_bad_weights(self):
         with pytest.raises(DomainError):
@@ -387,4 +440,4 @@ class TestEhrhart:
         points = [(1, 2), (2, 5), (3, 10), (4, 17)]
         coeffs = lagrange_interpolate(points)
         assert coeffs == (Fraction(1), Fraction(0), Fraction(1))
-        assert all(poly_eval(coeffs, x) == y for x, y in points)
+        assert all(_evaluate(coeffs, x) == y for x, y in points)

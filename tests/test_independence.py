@@ -6,8 +6,9 @@ juggling count and listings read an instance through one check,
 read the dead-residual rule and the copy bound from one sweep plan,
 `_plan`, and pack a target in one place, `_pack`.  The B/C/D reduction is checked
 against the direct count, so it reaches no count_partitions call and
-counts its leaves in one place only; a closed form's value is checked
-against a partition count, so it reaches none.  Every walk is a loop: no
+counts its leaves in one place only; a closed form's value, a dilation
+fit and a Lidskii expansion are checked against a partition count, so
+they reach none.  Every walk is a loop: no
 function calls itself, so none needs its closure deleted by hand and no
 walk's depth is bounded by the interpreter's recursion limit."""
 
@@ -138,6 +139,11 @@ def test_closed_form_values_reach_no_partition_count():
     assert _calls_reached(tree, "closed_form_value", PARTITION_COUNTS) == []
     assert _calls_reached(tree, "closed_form_check", PARTITION_COUNTS) == [
         ("closed_form_check", "count_capacity_restricted")]
+    # the dilation fit and the Lidskii expansion are checked against
+    # count_partitions by their callers, so they reach the juggling count only
+    for fast in ("ehrhart_fit", "lidskii_count"):
+        assert _calls_reached(tree, fast, PARTITION_COUNTS) == [], fast
+        assert _calls_reached(tree, fast, {"count_sequences"}), fast
 
 
 def test_no_function_calls_itself():
