@@ -9,10 +9,10 @@ neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from operator import lshift, sub
+from typing import NamedTuple
 
 from .errors import DomainError
 from .juggling import count_sequences, normalize_state
@@ -25,18 +25,17 @@ from .roots import (MINUS, PLUS, SINGLE, Root, edouble, eminus, eplus,
 UP, DOWN, SINGLE_DROP, DOUBLE_DROP, CANCEL = "up", "down", "drop1", "drop2", "cancel"
 
 
-@dataclass(frozen=True)
-class BcdState:
-    """A standard conveyor (signed) and a reflected conveyor (nonnegative)."""
+class BcdState(NamedTuple("BcdState", [("standard", tuple), ("reflected", tuple)])):
+    """A standard conveyor (signed) and a reflected conveyor (nonnegative),
+    both normalized."""
 
-    standard: tuple
-    reflected: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "standard", normalize_state(self.standard))
-        object.__setattr__(self, "reflected", normalize_state(self.reflected))
-        if any(x < 0 for x in self.reflected):
+    def __new__(cls, standard, reflected):
+        state = super().__new__(cls, normalize_state(standard), normalize_state(reflected))
+        if any(x < 0 for x in state.reflected):
             raise DomainError("reflected conveyor entries must be nonnegative")
+        return state
 
     @property
     def empty(self) -> bool:
@@ -88,8 +87,7 @@ def bcd_successors(lie_type: str, state: BcdState, time: int, max_landing: int):
     return out
 
 
-@dataclass(frozen=True)
-class BcdSequence:
+class BcdSequence(NamedTuple):
     states: tuple
     events: tuple  # (time, kind, height), sorted
 
@@ -168,7 +166,9 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
     before a root sends 1, 2, ... copies of it while that holds, into the
     same mapping, so equal residuals merge and each is visited once per root
     however many configurations reach it.  The residuals whose top field
-    equals half (coordinate sum zero) are the leaves.
+    equals half (coordinate sum zero) are the leaves.  Outside the literal
+    walk every walked root has a positive coordinate sum, so a leaf takes no
+    further copy: it is set aside when made and no later root tests it.
     """
     pre = list(accumulate(mu))
     if min(pre) < 0 or literal and pre[-1] != 0:
@@ -179,19 +179,22 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
     tops = half * (((1 << bits * rank) - 1) // mask)  # half in every field
     shifts = range(0, bits * rank, bits)
     top = shifts[-1]
-    layer = {tops + sum(map(lshift, pre, shifts)): 1}  # residual -> configurations
+    layer: dict = {}  # residual -> configurations, for those still walked
+    done = layer if literal else {}  # the same, for the leaves set aside
+    w = tops + sum(map(lshift, pre, shifts))
+    (done if w >> top == half else layer)[w] = 1
     for step in _walked_steps(lie_type, rank, literal, bits):
         # the residuals from before this root that can take a copy of it
         for w, ways in [(w - step, ways) for w, ways in layer.items()
                         if (w - step) & tops == tops]:
             while w & tops == tops:
-                layer[w] = layer.get(w, 0) + ways
+                into = done if w >> top == half else layer
+                into[w] = into.get(w, 0) + ways
                 w -= step
     leaves = {}
-    for w, ways in layer.items():
-        if w >> top == half:
-            sums = [(w >> s & mask) - half for s in shifts]
-            leaves[tuple(map(sub, sums, [0] + sums))] = ways
+    for w, ways in done.items():
+        sums = [(w >> s & mask) - half for s in shifts]
+        leaves[tuple(map(sub, sums, [0] + sums))] = ways
     return leaves
 
 

@@ -7,7 +7,7 @@ back.  verify_correspondence exercises both directions against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .juggling import (ALL_THROWS, JugglingSequence, Throw, ThrowSet, _apply_throws,
@@ -90,8 +90,7 @@ def gamma_inverse(seq: JugglingSequence) -> Partition:
     return make_partition(root_of_throw(t) for t in seq.throws)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """Outcome of cross-checking partitions against juggling sequences."""
 
     weight: tuple

@@ -28,10 +28,9 @@ from .closedforms import (CLOSED_FORMS, GF_DIRECT_MAX, ORACLE_MAX_RANK,
                           surd_value)
 from .errors import DomainError, InvariantViolation
 from .juggling import ALL_THROWS, ThrowSet, count_sequences, enumerate_sequences
-from .kostant import (count_partitions, enumerate_partitions, make_partition,
-                      partition_parts)
+from .kostant import count_partitions, enumerate_partitions, make_partition
 from .poset import (binomial_power_coefficients, build_poset,
-                    characteristic_polynomial, poset_dot)
+                    characteristic_polynomial, partition_label, poset_dot)
 from .roots import (ambient_dim, check_positive_roots, highest_root, parse_root,
                     positive_roots, weight_from_simple)
 
@@ -98,10 +97,6 @@ def _load_throws(path: str) -> ThrowSet:
         except ValueError:
             raise DomainError(f"malformed throw {line!r}") from None
     return ThrowSet.from_throws(throws)
-
-
-def _partition_str(partition) -> str:
-    return " ".join(str(root) for root in partition_parts(partition)) or "(empty)"
 
 
 def _partition_json(partition):
@@ -186,7 +181,7 @@ def _cmd_kostant(args) -> tuple:
     payload = {"count": str(count)}
     if args.enumerate:
         payload["partitions"] = map(_partition_json, partitions)
-    return 0, payload, chain([str(count)], map(_partition_str, partitions))
+    return 0, payload, chain([str(count)], map(partition_label, partitions))
 
 
 def _throwset_from_args(args) -> ThrowSet:
@@ -282,9 +277,9 @@ def _cmd_bcd_map(args) -> tuple:
         back = c_to_a_inverse(image, args.rank)
     if back != partition:
         raise InvariantViolation(f"map roundtrip failed for --which {args.which} --rank "
-                                 f"{args.rank} on partition {_partition_str(partition)}")
+                                 f"{args.rank} on partition {partition_label(partition)}")
     payload = {"image": _partition_json(image), "roundtrip_ok": True}
-    return 0, payload, [_partition_str(image), "# roundtrip: ok"]
+    return 0, payload, [partition_label(image), "# roundtrip: ok"]
 
 
 def _cmd_poset(args) -> tuple:

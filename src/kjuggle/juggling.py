@@ -14,7 +14,6 @@ the table is freed by reference counting when the call returns."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import prod
 from operator import lshift
@@ -77,8 +76,7 @@ class ThrowSet:
 ALL_THROWS = ThrowSet()
 
 
-@dataclass(frozen=True)
-class JugglingSequence:
+class JugglingSequence(NamedTuple):
     """States s_0..s_n together with the multiset of throws performed."""
 
     states: tuple

@@ -11,7 +11,6 @@ q - 1 on binary start states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .bijection import gamma_inverse, root_of_throw
@@ -20,11 +19,14 @@ from .juggling import enumerate_sequences
 from .kostant import partition_parts
 
 
-@dataclass(frozen=True)
 class JugglingPoset:
-    sequences: tuple
-    covers: tuple  # (below, above) index pairs; above has one throw more
-    ranks: tuple
+    """The sequences, the covers as (below, above) index pairs (above has one
+    throw more), and each sequence's rank; its length is the element count."""
+
+    __slots__ = ("sequences", "covers", "ranks")
+
+    def __init__(self, sequences: tuple, covers: tuple, ranks: tuple):
+        self.sequences, self.covers, self.ranks = sequences, covers, ranks
 
     def __len__(self):
         return len(self.sequences)
@@ -98,40 +100,35 @@ def build_poset(a, b, n: int, capacity=None) -> JugglingPoset:
     return JugglingPoset(tuple(seqs), tuple(covers), ranks)
 
 
-def _strictly_below(poset: JugglingPoset):
-    """Bitmask per element of everything strictly below it."""
-    n = len(poset)
-    below = [0] * n
-    order = sorted(range(n), key=lambda k: poset.ranks[k])
-    covers_into: dict[int, list[int]] = {}
-    for lo, hi in poset.covers:
-        covers_into.setdefault(hi, []).append(lo)
-    for x in order:
-        mask = 0
-        for lo in covers_into.get(x, ()):
-            mask |= below[lo] | (1 << lo)
-        below[x] = mask
-    return below
-
-
 def minimal_elements(poset: JugglingPoset) -> list[int]:
     uppers = {hi for _, hi in poset.covers}
     return [k for k in range(len(poset)) if k not in uppers]
 
 
 def mobius_from_bottom(poset: JugglingPoset) -> list[int]:
-    """Mobius values from the unique minimal element to every element."""
+    """Mobius values from the unique minimal element to every element.
+
+    One pass in rank order builds each element's bitmask of everything
+    strictly below it from its lower covers, and its value from that mask:
+    minus the sum of the values already found below it.
+    """
     minima = minimal_elements(poset)
     if len(minima) != 1:
         names = ", ".join(partition_label(gamma_inverse(poset.sequences[k]))
                           for k in sorted(minima))
         raise DomainError(f"poset has {len(minima)} minimal elements: {names}")
-    below = _strictly_below(poset)
+    covers_into: dict[int, list[int]] = {}
+    for lo, hi in poset.covers:
+        covers_into.setdefault(hi, []).append(lo)
     n = len(poset)
+    below = [0] * n
     mobius = [0] * n
     having: dict[int, int] = {}  # Mobius value -> bitmask of the elements with it
-    for x in sorted(range(n), key=lambda k: poset.ranks[k]):
-        mask = below[x]
+    for x in sorted(range(n), key=poset.ranks.__getitem__):
+        mask = 0
+        for lo in covers_into.get(x, ()):
+            mask |= below[lo] | 1 << lo
+        below[x] = mask
         value = -sum(v * (mask & m).bit_count() for v, m in having.items()) if mask else 1
         mobius[x] = value
         having[value] = having.get(value, 0) | 1 << x

@@ -46,8 +46,16 @@ class TestSuccessors:
 
 
 def test_reflected_conveyor_must_be_nonnegative():
-    with pytest.raises(DomainError):
-        BcdState((1,), (-1,))
+    for reflected in ((-1,), (0, -1, 0)):
+        with pytest.raises(DomainError, match="^reflected conveyor entries must be nonnegative$"):
+            BcdState((1,), reflected)
+
+
+def test_state_normalizes_both_conveyors():
+    state = BcdState((1, 0), (0,))
+    assert state == BcdState((1,), ()) and state.reflected == ()
+    assert hash(state) == hash(BcdState((1,), ()))
+    assert BcdState((0, 0), ()).empty
 
 
 @pytest.mark.parametrize("lie_type,rank,expected", [

@@ -48,10 +48,15 @@ def test_gamma_rejects_inconsistent_partitions():
 def test_five_partitions_map_onto_the_five_sequences():
     mu = weight_from_simple("A", 3, (1, 2, 1))
     parts = enumerate_partitions(mu, positive_roots("A", 3))
-    seqs = set(enumerate_sequences((1, 1, -1), (1,), 3))
+    listed = enumerate_sequences((1, 1, -1), (1,), 3)
+    seqs = set(listed)
     images = {gamma(p, (1, 1, -1), 3) for p in parts}
     assert len(images) == 5
     assert images == seqs
+    # verify_correspondence finds each image in a set of the listed sequences
+    for image in images:
+        (same,) = [seq for seq in listed if seq == image]
+        assert hash(same) == hash(image)
 
 
 def test_gamma_inverse_of_conveyor_example():

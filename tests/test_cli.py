@@ -332,7 +332,7 @@ def test_a_partition_line_has_at_most_two_fields(tmp_path):
     with pytest.raises(DomainError, match=r"^malformed partition line '1-3 1 junk'"):
         cli._load_partition(str(path))
     path.write_text("1-2\n1-3 2\n")
-    assert cli._partition_str(cli._load_partition(str(path))) == "1-2 1-3 1-3"
+    assert cli.partition_label(cli._load_partition(str(path))) == "1-2 1-3 1-3"
 
 
 def test_bcd_juggling_method_needs_highest_root(capsys):

@@ -1,7 +1,11 @@
 """No module of the package imports a name it never uses; __init__.py, whose
-imports are re-exports, is exempt."""
+imports are re-exports, is exempt.  The CLI loads no stdlib module that only
+its records would need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kjuggle
@@ -38,3 +42,12 @@ def test_the_guard_sees_a_planted_breach():
         "def f(x) -> js.JSONDecoder:\n"
         "    return gamma(x, (), 1)\n")
     assert _unused_imports(planted) == ["os", "gamma_inverse", "cat"]
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = ("import sys, kjuggle.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -27,7 +27,8 @@ def test_singleton_poset():
 
 def test_three_ball_staircase():
     poset = build_poset((1, 1, 1), (3,), 3)
-    assert len(poset) == count_partitions((1, 1, 1, -3), positive_roots("A", 3)) == 7
+    assert (len(poset) == len(poset.sequences)
+            == count_partitions((1, 1, 1, -3), positive_roots("A", 3)) == 7)
     assert characteristic_polynomial(poset) == binomial_power_coefficients(3)
 
 
