@@ -14,6 +14,7 @@ from itertools import accumulate, combinations_with_replacement
 from operator import lshift, sub
 from typing import NamedTuple
 
+from .bijection import net_change_target
 from .errors import DomainError
 from .juggling import count_sequences, normalize_state
 from .kostant import (Partition, count_partitions, count_weighted,
@@ -290,18 +291,20 @@ def b_to_a_map(partition: Partition, rank: int) -> Partition:
     return make_partition(new)
 
 
+def _minus_parts(partition: Partition) -> list[Root]:
+    """The parts of a partition, refusing any that is not e_i - e_j."""
+    parts = list(partition_parts(partition))
+    if any(r.kind != MINUS for r in parts):
+        raise DomainError("expected a partition into e_i - e_j roots")
+    return parts
+
+
 def b_to_a_inverse(partition: Partition, rank: int) -> Partition:
     """Inverse of b_to_a_map."""
     check_type_rank("B", rank)
     ambient = rank + 2
-    target = [0] * ambient
-    target[0] = target[1] = 1
-    target[rank] = target[rank + 1] = -1
-    parts = list(partition_parts(partition))
-    if any(r.kind != MINUS for r in parts):
-        raise DomainError("expected a partition into e_i - e_j roots")
-    expected = partition_weight(partition, ambient)
-    if expected != tuple(target):
+    parts = _minus_parts(partition)
+    if partition_weight(partition, ambient) != net_change_target((1, 1), (1, 1), rank):
         raise DomainError("partition does not sum to e1+e2-e_{r+1}-e_{r+2}")
     last = [r for r in parts if r.j == ambient]
     mid = [r for r in parts if r.j == ambient - 1]
@@ -340,13 +343,8 @@ def c_to_a_inverse(partition: Partition, rank: int) -> Partition:
     """Inverse of c_to_a_map."""
     check_type_rank("C", rank)
     ambient = rank + 1
-    target = [0] * ambient
-    target[0] = 2
-    target[ambient - 1] = -2
-    parts = list(partition_parts(partition))
-    if any(r.kind != MINUS for r in parts):
-        raise DomainError("expected a partition into e_i - e_j roots")
-    if partition_weight(partition, ambient) != tuple(target):
+    parts = _minus_parts(partition)
+    if partition_weight(partition, ambient) != net_change_target((2,), (2,), rank):
         raise DomainError("partition does not sum to 2e1-2e_{r+1}")
     tail = sorted(r.i for r in parts if r.j == ambient)
     if len(tail) != 2:

@@ -1,21 +1,21 @@
 """Partitions of a weight into positive roots: enumeration and counting.
 
 A partition is stored as a canonically sorted tuple of (root, multiplicity)
-pairs.  Both engines take the allowed roots in canonical order and bound each
-multiplicity by the coordinates the remaining roots can no longer raise, so
-multisets are produced exactly once.  Both walk residuals packed into one int
-of fixed-width biased fields, following one sweep plan per root set: a copy
+pairs.  The roots are taken in canonical order and each multiplicity is
+bounded by the coordinates the remaining roots can no longer raise, so
+multisets are produced exactly once.  Residuals are packed into one int of
+fixed-width biased fields, following one sweep plan per root set: a copy
 of a root is one subtraction, a dead residual fails one mask test, and the
 copies a root may still take are read off one field.  For e_i - e_j roots
 alone the fields hold prefix sums, so a residual with a negative one is dead.
-Counting runs forward over a layer of {residual: ways}, one (kind, i) group
-of roots at a time, so equal residuals merge, and a pure group's last root
-sends every copy left in one move.  The capacity-restricted count is the
-same sweep with a cap on each coordinate, checked when the sweep reaches it.
-Enumeration is liveness-guided and built root by root, as the juggling
-listing is built time by time: forward, the residuals that reach each root;
-backward, each residual's live entries, one per positive part that can still
-reach zero, with the entries of the part's own remainder below it; an
+The one forward walk is the count's sweep over a layer of {residual: ways},
+one (kind, i) group of roots at a time, so equal residuals merge, and a
+pure group's last root sends every copy left in one move.  The
+capacity-restricted count is the same sweep with a cap on each coordinate,
+checked when the sweep reaches it.  Enumeration is liveness-guided, as the
+juggling listing is: the sweep records the residuals that reach each root;
+backward, each gets its live entries, one per number of copies whose
+remainder can still reach zero, with that remainder's entries below it; an
 explicit stack then emits them, so no root costs a frame, no branch that
 dies is entered, and partitions come out canonically with no sort.
 
@@ -101,14 +101,14 @@ def _check_ambient(ambient: int, roots) -> None:
 @lru_cache(maxsize=PLAN_CACHE)
 def _plan(roots: tuple, bits: int, length: int) -> tuple:
     """The sweep plan of canonical roots on residuals of `length` bits-wide
-    fields: (bias, groups), one group per (kind, i) group of roots, each
-    (shift, keep, want, need, deltas, guards, last).  Coordinate i's field
-    starts at bit shift; a residual is dead in the group when
-    w & keep != want, and a root there takes at most the field's value //
-    need copies (the level); deltas holds one copy of each root, packed;
-    guards, in an e_i + e_j group only (else None), holds the bit shift of
-    each root's second coordinate, sent only while positive; last is a pure
-    group's last root (None in a mixed set, where it stays in deltas)."""
+    fields: (bias, pure, groups), pure if every root is e_i - e_j, and one
+    group per (kind, i) group of roots, each (shift, keep, want, need,
+    deltas, guards, last).  Coordinate i's field starts at bit shift; a
+    residual is dead in the group when w & keep != want, and a root there
+    takes at most the field's value // need copies (the level); deltas has
+    one copy of each root, packed; guards, in an e_i + e_j group only (else
+    None), has the bit shift of each root's second coordinate, sent only
+    while positive; last is a pure group's last root (None if mixed: deltas has it)."""
     half = 1 << bits - 1
     mask = (half << 1) - 1
     bias = sum(half << bits * k for k in range(length))
@@ -136,7 +136,7 @@ def _plan(roots: tuple, bits: int, length: int) -> tuple:
         last = deltas.pop() if pure else None
         guards = tuple(bits * (root.j - 1) for root in group) if kind == PLUS else None
         groups.append((shift, keep, want, 2 if kind == DOUBLE else 1, tuple(deltas), guards, last))
-    return bias, tuple(groups)
+    return bias, pure, tuple(groups)
 
 
 def _pack(target, pure: bool, bits: int, bias: int):
@@ -150,26 +150,33 @@ def _pack(target, pure: bool, bits: int, bias: int):
     return bias + sum(map(lshift, target, range(0, bits * len(target), bits)))
 
 
-def _sweep(targets, roots, ceiling=None) -> int:
-    """The layer DP of count_weighted over a {weight: ways} mapping and
-    canonical roots that fit every target, on packed residuals, following
-    the roots' sweep plan (built once per process for each canonical root
-    tuple, field width and target length); `ceiling`, if given (e_i - e_j
-    roots only), caps w[i] as a level at group i's entry (a coordinate with
-    no group of its own is the caller's to check)."""
+def _sweep(targets, roots, ceiling=None, reach=None) -> int:
+    """The one forward walk of the partition side: the layer DP of
+    count_weighted over a {weight: ways} mapping and canonical roots that
+    fit every target, on packed residuals, following the roots' sweep plan
+    (built once per process for each canonical root tuple, field width and
+    target length); `ceiling`, if given (e_i - e_j roots only), caps w[i] as
+    a level at group i's entry (a coordinate with no group of its own is the
+    caller's to check).  `reach`, if given, gains (bias, packed targets),
+    then per root, canonically, until the layer empties: (delta, sel, lo,
+    levels), its packed copy, its guard (as below; sel None at a pure
+    group's last root, which sends every copy left at once) and the {level:
+    {residual: ways}} buckets of the residuals with a copy of it to pay for,
+    which go on to gain those the group's later copies make."""
     span = max((sum(map(abs, w)) for w in targets), default=0)
     bits = span.bit_length() + 1
     half = 1 << bits - 1
     mask = (half << 1) - 1
-    bias, groups = _plan(roots, bits, max(map(len, targets), default=0))
-    pure = not roots or roots[-1].kind == MINUS
+    bias, pure, groups = _plan(roots, bits, max(map(len, targets), default=0))
     layer: dict = {}
     for target, ways in targets.items():
         w = _pack(target, pure, bits, bias)
         if w is not None:
             layer[w] = layer.get(w, 0) + ways
+    if reach is not None:
+        reach.append((bias, tuple(layer)))
     for shift, keep, want, need, deltas, guards, last in groups:
-        if not layer:
+        if not layer:  # a listing's reach then stops short too
             return 0
         cap = ceiling[shift // bits] if ceiling is not None else span  # no level passes span
         out: dict = {}
@@ -185,12 +192,16 @@ def _sweep(targets, roots, ceiling=None) -> int:
             else:
                 out[w] = ways
         if not levels:
+            if reach is not None:  # no residual takes a copy of any root of the group
+                reach += [(0, 0, 0, {})] * (len(deltas) + (last is not None))
             layer = out
             continue
         # One copy of each root is delta; an e_i + e_j copy is sent only
         # while w[j] > 0, that is while w & sel >= lo (sel = 0: always).
         for delta, guard in zip(deltas, guards or repeat(0)):
             sel, lo = (mask << guard, (half + 1) << guard) if guard else (0, 0)
+            if reach is not None:
+                reach.append((delta, sel, lo, levels))
             nxt: dict = {}
             above: dict = {}
             for c in range(max(levels), -1, -1):
@@ -209,6 +220,8 @@ def _sweep(targets, roots, ceiling=None) -> int:
                 above = cur
             levels = nxt
         if last is not None:  # nothing after a pure group touches coordinate i
+            if reach is not None:
+                reach.append((last, None, 0, levels))
             for c, cur in levels.items():
                 drop = c * last
                 for w, ways in cur.items():
@@ -266,71 +279,48 @@ def count_partitions(target, allowed) -> int:
 def enumerate_partitions(target, allowed) -> list[Partition]:
     """All partitions of the target into allowed roots, canonically ordered.
 
-    Built root by root on the count's packed residuals and sweep plan:
-    forward, the residuals that reach each root, each with its positive
-    parts (the plan's dead residuals are dropped); then backward from
-    past the last root, each residual's live entries, one ((root, mult),
-    below) per part whose remainder is zero (below None) or live (below its
-    live entries at the next root), followed by the next root's entries for
-    the residual itself.  An explicit stack emits the entries in order, so
-    partitions come out canonically with no sort and no root costs a frame.
+    The count's sweep is the forward walk: it records, root by root, the
+    residuals that may take a copy of the root and their levels; its count
+    is thrown away, as the listing is checked against it.  Backward from
+    past the last root, each such residual gets its live entries, one
+    ((root, mult), below) per mult = 1..level (at a pure group's last root
+    only mult = level: fewer copies leave coordinate i unpaid) whose
+    remainder is zero (below None) or live (below its live entries at the
+    next root), followed by the next root's entries for the residual
+    itself.  An explicit stack emits the entries in order, so partitions
+    come out canonically with no sort and no root costs a frame.
     """
     target = tuple(target)
-    roots, pure = _root_set(tuple(allowed))
+    roots = _root_set(tuple(allowed))[0]
     _check_ambient(len(target), roots)
     if not any(target):
         return [()]
-    bits = sum(map(abs, target)).bit_length() + 1
-    half = 1 << bits - 1
-    mask = (half << 1) - 1
-    bias, groups = _plan(roots, bits, len(target))
-    start = _pack(target, pure, bits, bias)
-    if start is None:
-        return []
-    layers = []  # per root: [(residual, [remainder after mult 1, 2, ..., None if zero]), ...]
-    reach = (start,)
-    for shift, keep, want, need, deltas, guards, last in groups:
-        if last is not None:
-            deltas += (last,)
-        for delta, guard in zip(deltas, guards or repeat(0)):
-            sel, lo = (mask << guard, (half + 1) << guard) if guard else (0, 0)
-            layer = []
-            nxt = {}
-            for w in reach:
-                if w & keep != want:  # dead: no later root brings it to zero
-                    continue
-                nxt[w] = None
-                children = []
-                r = w
-                for _ in range((((w >> shift) & mask) - half) // need):
-                    if r & sel < lo:  # an e_i + e_j copy needs w[j] > 0
-                        break
-                    r -= delta
-                    if r == bias:
-                        children.append(None)
-                    else:
-                        children.append(r)
-                        nxt[r] = None
-                if children:
-                    layer.append((w, children))
-            layers.append(layer)
-            reach = nxt
+    reach: list = []
+    _sweep({target: 1}, roots, reach=reach)
+    (bias, starts), *steps = reach  # starts: the packed target, if it has one
     # live[w]: the live entries of w from the root last read back on.  A root
     # changes only the residuals with live parts of their own there: any other
     # keeps its entries from the next root, which are none if it is dead.
-    live: dict = {}
-    for root in reversed(roots):
+    live: dict = {bias: None}  # below None: the partition is complete
+    for root, (delta, sel, lo, levels) in reversed(list(zip(roots, steps))):
         own = {}
-        for w, children in layers.pop():
-            entries = [((root, mult), None if child is None else live[child])
-                       for mult, child in enumerate(children, 1)
-                       if child is None or live.get(child)]
-            if entries:
-                own[w] = entries + live.get(w, [])
+        for level, residuals in levels.items():
+            first = level if sel is None else 1
+            for w in residuals:
+                entries = []
+                r = w - (first - 1) * delta
+                for mult in range(first, level + 1):
+                    if sel and r & sel < lo:  # an e_i + e_j copy needs w[j] > 0
+                        break
+                    r -= delta
+                    if r in live:
+                        entries.append(((root, mult), live[r]))
+                if entries:
+                    own[w] = entries + live.get(w, [])
         live.update(own)
     found: list[Partition] = []
     # stack[k] iterates the choices of part k + 1, with the k parts chosen before it.
-    stack = [(iter(live.get(start, [])), ())]
+    stack = [(iter(live.get(start, [])), ()) for start in starts]
     while stack:
         entries, chosen = stack[-1]
         for part, below in entries:

@@ -541,10 +541,11 @@ def test_domain_errors_exit_one(capsys):
 def test_selftest_json(capsys):
     code, out, _ = run(capsys, "selftest", "--json")
     assert code == 0
+    assert run(capsys, "selftest", "--json")[1] == out  # two runs, the same bytes
     payload = json.loads(out)
     assert payload["failed"] == "0"
     assert len(payload["criteria"]) == 15
-    assert all(float(c["seconds"]) >= 0 for c in payload["criteria"])
+    assert not any("seconds" in c for c in payload["criteria"])
 
 
 JS_STATES = ["0", "1", "2", "3", "1,1", "0,1", "2,1", "1,0,1", "2,0,-1", "-1,1", "1,-1,1",

@@ -1,6 +1,6 @@
-"""No module of the package imports a name it never uses; __init__.py, whose
-imports are re-exports, is exempt.  The CLI loads no stdlib module that only
-its records would need."""
+"""No module of the package imports a name it never reads; a name that
+__init__.py lists in __all__ is a re-export, read by its importers.  The
+CLI loads no stdlib module that only its records would need."""
 
 import ast
 import os
@@ -14,20 +14,33 @@ PACKAGE = Path(kjuggle.__file__).parent
 
 
 def _unused_imports(tree) -> list:
-    """The names bound by import statements that no expression reads."""
+    """The names bound by import statements that no expression reads (a name
+    only rebound or deleted is not read), less the module's __all__."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:  # what __all__ names is read by the module's importers
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
     return [name for name in imported if name not in used]
 
 
 def test_no_module_imports_an_unused_name():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
+    for path in modules:
+        assert _unused_imports(ast.parse(path.read_text())) == [], path.name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "__init__.py" in modules
     for path in modules:
         assert _unused_imports(ast.parse(path.read_text())) == [], path.name
 
@@ -42,6 +55,13 @@ def test_the_guard_sees_a_planted_breach():
         "def f(x) -> js.JSONDecoder:\n"
         "    return gamma(x, (), 1)\n")
     assert _unused_imports(planted) == ["os", "gamma_inverse", "cat"]
+    planted = ast.parse(
+        "from itertools import accumulate, groupby, repeat\n"
+        "from .errors import DomainError, InvariantViolation\n"
+        "__all__ = ['DomainError']\n"
+        "repeat = groupby\n"
+        "del accumulate\n")
+    assert _unused_imports(planted) == ["accumulate", "repeat", "InvariantViolation"]
 
 
 def test_the_cli_loads_neither_dataclasses_nor_inspect():

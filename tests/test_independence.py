@@ -4,7 +4,11 @@ nothing from each other, and no listing function calls a count.  The
 juggling count and listings read an instance through one check,
 `_instance`, which reaches no count.  The partition count and listing
 read the dead-residual rule and the copy bound from one sweep plan,
-`_plan`, and pack a target in one place, `_pack`.  The B/C/D reduction is checked
+`_plan`, and pack a target in one place, `_pack`.  The listing's forward
+walk is the count's `_sweep`, but it never reads the count: every `_sweep`
+call it reaches is a bare statement, so the listed-vs-counted checks
+(`kostant --enumerate`, `verify_correspondence`) still test the backward
+pass and the emission.  The B/C/D reduction is checked
 against the direct count, so it reaches no count_partitions call and
 counts its leaves in one place only; a closed form's value, a dilation
 fit and a Lidskii expansion are checked against a partition count, so
@@ -125,6 +129,26 @@ def test_partition_walks_share_one_sweep_plan():
     assert _unplanned_walks(_tree("kostant")) == []
 
 
+def _read_sweeps(tree) -> list:
+    """(function, line) for each `_sweep` call, in a function the partition
+    listing reaches, that is not a bare expression statement."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in _reached_functions(tree, "enumerate_partitions"):
+        nodes = list(ast.walk(functions[name]))
+        bare = {id(node.value) for node in nodes if isinstance(node, ast.Expr)}
+        found += [(name, call.lineno) for call in nodes if isinstance(call, ast.Call)
+                  and "_sweep" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                  and id(call) not in bare]
+    return sorted(found)
+
+
+def test_the_listing_never_reads_the_sweeps_count():
+    tree = _tree("kostant")
+    assert "_sweep" in _reached_functions(tree, "enumerate_partitions")
+    assert _read_sweeps(tree) == []
+
+
 def test_the_reduction_reaches_no_direct_count():
     tree = _tree("bcd")
     reached = _reached_functions(tree, "schmidt_bincer_count")
@@ -226,6 +250,21 @@ def test_the_guards_see_a_planted_breach():
         "def enumerate_partitions(target, allowed):\n"
         "    return [w for w in target if min(w) >= 0]\n")
     assert _unplanned_walks(planted) == ["count_capacity_restricted", "enumerate_partitions"]
+    planted = ast.parse(
+        "def _sweep(targets, roots, reach=None):\n"
+        "    return 0\n"
+        "def enumerate_partitions(target, allowed):\n"
+        "    reach = []\n"
+        "    _sweep({target: 1}, allowed, reach=reach)\n"
+        "    n = _sweep({target: 1}, allowed, reach=reach)\n"
+        "    return _emit(reach)[:n]\n"
+        "def _emit(reach):\n"
+        "    if kostant._sweep({}, (), reach=reach):\n"
+        "        return []\n"
+        "    return reach\n"
+        "def count_weighted(targets, allowed):\n"
+        "    return _sweep(targets, allowed)\n")
+    assert _read_sweeps(planted) == [("_emit", 9), ("enumerate_partitions", 6)]
     planted = ast.parse(
         "class Root:\n"
         "    def __new__(cls):\n"
