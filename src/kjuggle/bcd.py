@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .bijection import net_change_target
 from .errors import DomainError
 from .juggling import count_sequences, normalize_state
-from .kostant import (Partition, count_partitions, count_weighted,
+from .kostant import (Partition, _sweep, count_partitions, count_weighted,
                       make_partition, partition_parts, partition_weight)
 from .roots import (MINUS, PLUS, SINGLE, Root, edouble, eminus, eplus,
                     esingle, check_positive_roots, check_type_rank, highest_root,
@@ -97,13 +97,10 @@ def enumerate_bcd_sequences(lie_type: str, initial: BcdState, n: int):
     """All two-conveyor sequences of length n from `initial` to the empty state."""
     if lie_type not in ("B", "C", "D"):
         raise DomainError("two-conveyor juggling is defined for types B, C, D")
-
-    def dead(state: BcdState, time: int) -> bool:
-        s, t = state.standard, state.reflected
-        return (any(x > 0 and time + k + 1 > n for k, x in enumerate(s))
-                or any(x > 0 and time + k + 1 > n for k, x in enumerate(t)))
-
-    if dead(initial, 0):
+    # A ball at height k + 1 lands at time k + 1, too late past n.  Only the
+    # initial state can hold one: every throw lands by time n, and a drop
+    # keeps each ball's landing time.
+    if any(x > 0 and k >= n for conveyor in initial for k, x in enumerate(conveyor)):
         return []
     if n < 1:
         return [BcdSequence((initial,), ())] if initial.empty else []
@@ -115,8 +112,6 @@ def enumerate_bcd_sequences(lie_type: str, initial: BcdState, n: int):
         steps, states, events = stack[-1]
         time = len(stack)
         for new, evs in steps:
-            if dead(new, time):
-                continue
             path = states + (new,)
             record = events + tuple([(time, kind, h) for kind, h in evs])
             if time < n:
@@ -145,18 +140,17 @@ def bcd_sequence_partition(seq: BcdSequence) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _walked_steps(lie_type: str, rank: int, literal: bool, bits: int) -> tuple[int, ...]:
+def _walked_steps(lie_type: str, rank: int, bits: int) -> tuple[int, ...]:
     """The walked roots' prefix sums, packed bits-wide (field k at bit
-    bits * k), in canonical root order: the e_i - e_j roots when `literal`,
-    the others otherwise."""
+    bits * k): the roots outside the e_i - e_j family, in canonical order."""
     return tuple(sum(g << bits * k for k, g in enumerate(accumulate(root_to_weight(r, rank))))
-                 for r in positive_roots(lie_type, rank) if (r.kind == MINUS) == literal)
+                 for r in positive_roots(lie_type, rank) if r.kind != MINUS)
 
 
-def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
+def _leaves(lie_type: str, rank: int, mu: tuple) -> dict:
     """The {residual: configurations} mapping of the reduction's walk, for a
-    checked weight: a configuration is a multiset of walked roots, and its
-    residual is mu minus their sum.
+    checked weight: a configuration is a multiset of walked roots (those
+    outside the e_i - e_j family), and its residual is mu minus their sum.
 
     A residual packs its prefix sums into one int, field k at bit bits * k
     biased by half = 2^(bits-1), with half above every prefix sum of mu and
@@ -167,12 +161,12 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
     before a root sends 1, 2, ... copies of it while that holds, into the
     same mapping, so equal residuals merge and each is visited once per root
     however many configurations reach it.  The residuals whose top field
-    equals half (coordinate sum zero) are the leaves.  Outside the literal
-    walk every walked root has a positive coordinate sum, so a leaf takes no
-    further copy: it is set aside when made and no later root tests it.
+    equals half (coordinate sum zero) are the leaves.  Every walked root has
+    a positive coordinate sum, so a leaf takes no further copy: it is set
+    aside when made and no later root tests it.
     """
     pre = list(accumulate(mu))
-    if min(pre) < 0 or literal and pre[-1] != 0:
+    if min(pre) < 0:
         return {}
     bits = max(max(pre), 1).bit_length() + 1
     half = 1 << bits - 1
@@ -181,10 +175,10 @@ def _leaves(lie_type: str, rank: int, mu: tuple, literal: bool) -> dict:
     shifts = range(0, bits * rank, bits)
     top = shifts[-1]
     layer: dict = {}  # residual -> configurations, for those still walked
-    done = layer if literal else {}  # the same, for the leaves set aside
+    done: dict = {}  # the same, for the leaves set aside
     w = tops + sum(map(lshift, pre, shifts))
     (done if w >> top == half else layer)[w] = 1
-    for step in _walked_steps(lie_type, rank, literal, bits):
+    for step in _walked_steps(lie_type, rank, bits):
         # the residuals from before this root that can take a copy of it
         for w, ways in [(w - step, ways) for w, ways in layer.items()
                         if (w - step) & tops == tops]:
@@ -206,7 +200,8 @@ def _reduction(lie_type: str, rank: int, mu, literal: bool) -> int:
 
     The walk's leaves go into one {residual: configurations} mapping,
     counted in a single count_weighted call (exact: the count is linear in
-    the mapping); see `_leaves` for the walk.
+    the mapping); see `_leaves`.  The literal sum, of the pairs of e_i - e_j
+    partitions adding up to mu, is one sweep over two copies of those roots.
     """
     if lie_type not in ("B", "C", "D"):
         raise DomainError("the reduction applies to types B, C, D")
@@ -215,7 +210,9 @@ def _reduction(lie_type: str, rank: int, mu, literal: bool) -> int:
     if len(mu) != rank:
         raise DomainError(f"weight has length {len(mu)}, ambient dimension is {rank}")
     minus_roots = tuple(r for r in positive_roots(lie_type, rank) if r.kind == MINUS)
-    return count_weighted(_leaves(lie_type, rank, mu, literal), minus_roots)
+    if literal:
+        return _sweep({mu: 1}, tuple(r for r in minus_roots for _ in range(2)))
+    return count_weighted(_leaves(lie_type, rank, mu), minus_roots)
 
 
 def schmidt_bincer_count(lie_type: str, rank: int, mu) -> int:
@@ -226,9 +223,9 @@ def schmidt_bincer_count(lie_type: str, rank: int, mu) -> int:
 
 def schmidt_bincer_literal(lie_type: str, rank: int, mu) -> int:
     """Diagnostic: the alternate reading with configurations ranging over the
-    e_i - e_j roots themselves.  Configurations of those roots preserve the
-    coordinate sum, so any weight with nonzero sum yields 0; on type-A weights
-    it overcounts instead."""
+    e_i - e_j roots themselves, which are the partitions of mu over two copies
+    of each.  Those roots preserve the coordinate sum, so any weight with
+    nonzero sum yields 0; on type-A weights it overcounts instead."""
     return _reduction(lie_type, rank, mu, literal=True)
 
 

@@ -152,8 +152,9 @@ def _pack(target, pure: bool, bits: int, bias: int):
 
 def _sweep(targets, roots, ceiling=None, reach=None) -> int:
     """The one forward walk of the partition side: the layer DP of
-    count_weighted over a {weight: ways} mapping and canonical roots that
-    fit every target, on packed residuals, following the roots' sweep plan
+    count_weighted over a {weight: ways} mapping and roots in canonical
+    order that fit every target (a root may repeat, each copy counting as a
+    root of its own), on packed residuals, following the roots' sweep plan
     (built once per process for each canonical root tuple, field width and
     target length); `ceiling`, if given (e_i - e_j roots only), caps w[i] as
     a level at group i's entry (a coordinate with no group of its own is the

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import accumulate
+from math import prod
 
 import pytest
 
@@ -225,25 +226,23 @@ def test_literal_reduction_at_rank_eight():
     assert schmidt_bincer_literal("B", 8, (2, 1, 0, 0, 0, 0, -1, -2)) == 17731854
 
 
-def _reference_leaves(lie_type, rank, mu, literal):
+def _reference_leaves(lie_type, rank, mu):
     """A recursive walk over every configuration, sharing no code with the
-    layer walk: for each walked root in turn, every multiplicity that keeps
-    the residual's prefix sums nonnegative.  A zero-sum residual is a leaf once every root is decided,
-    or at once when every walked root has a positive sum."""
+    layer walk: for each root outside the e_i - e_j family in turn, every
+    multiplicity that keeps the residual's prefix sums nonnegative.  Every
+    such root has a positive sum, so a zero-sum residual is a leaf at once."""
     weights = [root_to_weight(r, rank) for r in positive_roots(lie_type, rank)
-               if (r.kind == MINUS) == literal]
+               if r.kind != MINUS]
     gpres = [list(accumulate(g)) for g in weights]
     pre = list(accumulate(mu))
-    if pre[-1] != 0 and all(gpre[-1] == 0 for gpre in gpres):
-        return {}
     steps = [[(k, g) for k, g in enumerate(gpre) if g > 0] for gpre in gpres]
-    settled = all(gpre[-1] > 0 for gpre in gpres)
     leaves = {}
 
     def rec(idx, w, pre):
-        if idx == len(weights) or (settled and pre[-1] == 0):
-            if pre[-1] == 0:
-                leaves[w] = leaves.get(w, 0) + 1
+        if pre[-1] == 0:
+            leaves[w] = leaves.get(w, 0) + 1
+            return
+        if idx == len(weights):
             return
         weight, gpre = weights[idx], gpres[idx]
         bound = min(pre[k] // g for k, g in steps[idx])
@@ -280,19 +279,38 @@ def test_walk_leaves_match_the_per_root_walk(lie_type):
     rng = random.Random(f"leaves-{lie_type}")
     for rank in range({"B": 2, "C": 3, "D": 4}[lie_type], 7):
         for mu in _seeded_weights(rng, lie_type, rank, 12):
-            for literal in (False, True):
-                assert (_leaves(lie_type, rank, mu, literal)
-                        == _reference_leaves(lie_type, rank, mu, literal)), (rank, mu, literal)
+            assert _leaves(lie_type, rank, mu) == _reference_leaves(lie_type, rank, mu), (rank, mu)
 
 
 @pytest.mark.parametrize("lie_type", "BCD")
-def test_literal_walk_leaves_on_zero_sum_weights(lie_type):
-    rng = random.Random(f"zero-sum-{lie_type}")
-    for rank in range({"B": 2, "C": 3, "D": 4}[lie_type], 6):
-        for _ in range(6):
-            head = [rng.randint(-1, 2) for _ in range(rank - 1)]
-            mu = tuple(head) + (-sum(head),)
-            assert _leaves(lie_type, rank, mu, True) == _reference_leaves(lie_type, rank, mu, True)
+def test_literal_reading_counts_two_coloured_e_i_minus_e_j_partitions(lie_type):
+    # An independent route: a pair of e_i - e_j partitions adding up to mu is
+    # one partition of mu whose m copies of a root are split between two
+    # colours, m + 1 ways.  Half the weights are sums of e_i - e_j roots.
+    rng = random.Random(f"two-colour-{lie_type}")
+    for rank in range({"B": 2, "C": 3, "D": 4}[lie_type], 7):
+        minus_roots = [r for r in positive_roots(lie_type, rank) if r.kind == MINUS]
+        for k in range(8):
+            if k % 2:
+                head = [rng.randint(-1, 2) for _ in range(rank - 1)]
+                mu = tuple(head) + (-sum(head),)
+            else:
+                mu = [0] * rank
+                for _ in range(rng.randint(1, 4)):
+                    for i, x in enumerate(root_to_weight(rng.choice(minus_roots), rank)):
+                        mu[i] += x
+                mu = tuple(mu)
+            coloured = sum(prod(mult + 1 for _, mult in partition)
+                           for partition in enumerate_partitions(mu, minus_roots))
+            assert schmidt_bincer_literal(lie_type, rank, mu) == coloured, (rank, mu)
+
+
+def test_literal_reading_is_bounded_on_wide_zero_sum_weights():
+    # a walk over every e_i - e_j configuration of these weights takes seconds
+    start = time.perf_counter()
+    assert schmidt_bincer_literal("B", 10, (2, 1, 0, 0, 0, 0, 0, 0, -1, -2)) == 4606398846
+    assert schmidt_bincer_literal("B", 8, (4, 3, 2, 1, -1, -2, -3, -4)) == 262349660121120
+    assert time.perf_counter() - start < 1.0
 
 
 def test_long_single_root_chains_stay_shallow():

@@ -8,7 +8,8 @@ from kjuggle.bijection import (gamma, gamma_inverse, net_change_target,
                                time_bounded_roots, verify_correspondence)
 from kjuggle.errors import DomainError
 from kjuggle.juggling import Throw, ThrowSet, count_sequences, enumerate_sequences
-from kjuggle.kostant import count_partitions, enumerate_partitions, make_partition
+from kjuggle.kostant import (count_capacity_restricted, count_partitions, enumerate_partitions,
+                             make_partition)
 from kjuggle.roots import eminus, eplus, positive_roots, weight_from_simple
 
 
@@ -96,6 +97,38 @@ def test_verify_correspondence_names_a_count_mismatch(monkeypatch):
     report = verify_correspondence((1, 1, -1, -1))
     assert not report.ok
     assert report.first_mismatch == "4 partitions != 5 sequences"
+
+
+# (1, 0, -1) has two partitions, e1-e2 + e2-e3 listed first, then e1-e3.
+PLANTED_FAULTS = {
+    "drop-a-partition": (
+        "enumerate_partitions", lambda *a: enumerate_partitions(*a)[1:],
+        ("counts_equal",), "count_partitions 2 != 1 enumerated"),
+    "drop-a-sequence": (
+        "enumerate_sequences", lambda *a: enumerate_sequences(*a)[1:],
+        ("counts_equal", "image_contained"), "count_sequences 2 != 1 enumerated"),
+    "repeat-an-image": (
+        "gamma", lambda part, a, r: gamma(make_partition([eminus(1, 2), eminus(2, 3)]), a, r),
+        ("injective",), "gamma not injective at ((Root(kind='minus', i=1, j=3), 1),)"),
+    "invert-wrongly": (
+        "gamma_inverse", lambda seq: make_partition([eminus(1, 3)]),
+        ("roundtrip_ok",), "roundtrip failed at ((Root(kind='minus', i=1, j=2), 1), "
+                           "(Root(kind='minus', i=2, j=3), 1))"),
+    "miscount-capacity": (
+        "count_capacity_restricted", lambda *a: count_capacity_restricted(*a) + 1,
+        ("capacity_equal",), "capacity-restricted counts disagree"),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_verify_correspondence_flags_a_planted_fault(monkeypatch, fault):
+    name, fake, flags, text = PLANTED_FAULTS[fault]
+    assert verify_correspondence((1, 0, -1), capacity=1).ok
+    monkeypatch.setattr(bijection, name, fake)
+    report = verify_correspondence((1, 0, -1), capacity=1)
+    assert [getattr(report, flag) for flag in flags] == [False] * len(flags)
+    assert report.ok is False
+    assert report.first_mismatch == text
 
 
 def test_verify_correspondence_rejects_nonzero_sum():

@@ -31,13 +31,6 @@ def _unused_imports(tree) -> list:
     return [name for name in imported if name not in used]
 
 
-def test_no_module_imports_an_unused_name():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    for path in modules:
-        assert _unused_imports(ast.parse(path.read_text())) == [], path.name
-
-
 def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "__init__.py" in modules

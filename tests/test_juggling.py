@@ -43,6 +43,9 @@ class TestSuccessors:
         got = {s for s, _ in successors((2,), 1, 1, ALL_THROWS, 3)}
         assert (2,) not in got and (1, 1) in got
 
+    def test_an_empty_hand_over_capacity_is_dead(self):
+        assert successors((0, 3), 1, 2, ALL_THROWS, 5) == []
+
     def test_needs_landing_bound_when_throwing(self):
         with pytest.raises(DomainError):
             successors((1,), 1)
